@@ -142,15 +142,33 @@ class HotCConfig:
         if self.markov_window is not None and self.markov_window < 2:
             raise ValueError("markov_window must be >= 2 (or None)")
 
+    @property
+    def _min_history(self) -> int:
+        # Without the Markov correction the chain never engages.
+        return 6 if self.markov_correction else 10**9
+
     def make_predictor(self) -> CombinedPredictor:
-        """A fresh predictor configured per this config."""
-        min_history = 6 if self.markov_correction else 10**9
+        """A fresh single-key predictor configured per this config (the
+        executable spec of one :meth:`make_controller` row)."""
         return CombinedPredictor(
             alpha=self.alpha,
             n_states=self.n_states,
             init=self.init,
-            min_history=min_history,
+            min_history=self._min_history,
             markov_window=self.markov_window,
+        )
+
+    def make_controller(self) -> AdaptivePoolController:
+        """A fresh per-host predictor bank configured per this config."""
+        return AdaptivePoolController(
+            alpha=self.alpha,
+            n_states=self.n_states,
+            init=self.init,
+            min_history=self._min_history,
+            markov_window=self.markov_window,
+            quantile=self.target_quantile,
+            horizon=self.target_horizon,
+            max_target=self.limits.max_containers,
         )
 
 
@@ -165,10 +183,7 @@ class HotC(RuntimeProvider):
             limits=self.config.limits, eviction=self.config.eviction
         )
         self.cleanup = CleanupWorker(self.sim, engine, self.pool)
-        self.controller = AdaptivePoolController(
-            predictor_factory=self.config.make_predictor,
-            max_target=self.config.limits.max_containers,
-        )
+        self.controller = self.config.make_controller()
         #: First-seen config per key, used for prewarm boots.
         self._config_for_key: Dict[RuntimeKey, ContainerConfig] = {}
         #: Demand tracking: currently busy and interval peak per key.
@@ -525,10 +540,7 @@ class HotC(RuntimeProvider):
             if cost is None:
                 continue
             headroom = self.controller.donation_headroom(
-                donor_key,
-                self.pool.num_total(donor_key),
-                quantile=self.config.target_quantile,
-                horizon=self.config.target_horizon,
+                donor_key, self.pool.num_total(donor_key)
             )
             if headroom < 1:
                 continue
@@ -990,10 +1002,7 @@ class HotC(RuntimeProvider):
         self._relaxed_index.clear()
         self._breakers.clear()
         self._cold_estimates.clear()
-        self.controller = AdaptivePoolController(
-            predictor_factory=self.config.make_predictor,
-            max_target=self.config.limits.max_containers,
-        )
+        self.controller = self.config.make_controller()
         # Health records and the recycle queue are in-memory control
         # state too; the ``condemned`` flag stays on the containers, so
         # the recovery sweep retires them instead of re-adopting.
@@ -1342,26 +1351,23 @@ class HotC(RuntimeProvider):
         admission = self.admission
         if admission is not None:
             self._update_brownout()
-        for key in tuple(self._config_for_key):
-            demand = self._peak.get(key, 0)
-            self._peak[key] = self._busy.get(key, 0)
-            prev_forecast = None
-            if obs is not None:
-                forecasts = self.controller.forecast_history(key)
-                # The forecast made on the previous tick predicted *this*
-                # interval's demand: the pair is the realized accuracy.
-                prev_forecast = forecasts[-1] if forecasts else None
-            forecast = self.controller.observe(key, demand)
+        controller = self.controller
+        keys = tuple(self._config_for_key)
+        peak = self._peak
+        busy = self._busy
+        demands = [peak.get(key, 0) for key in keys]
+        for key in keys:
+            peak[key] = busy.get(key, 0)
+        if obs is not None:
+            # The forecast made on the previous tick predicted *this*
+            # interval's demand: the pair is the realized accuracy.
+            previous = [controller.forecast(key) for key in keys]
+        # One batched predictor step for every key of this host.
+        forecasts = controller.observe(keys, demands)
+        for index, key in enumerate(keys):
             target = None
             if self.config.prewarm:
-                target = max(
-                    self.controller.target_upper(
-                        key,
-                        quantile=self.config.target_quantile,
-                        horizon=self.config.target_horizon,
-                    ),
-                    self.controller.target(key),
-                )
+                target = max(controller.target_upper(key), controller.target(key))
                 if admission is not None and self._brownout.active:
                     # Degraded mode: provision for a fraction of the
                     # forecast so the pool sheds weight before the
@@ -1372,7 +1378,9 @@ class HotC(RuntimeProvider):
                 self._resize_key(key, target)
             if obs is not None:
                 host = self.engine.name
-                data = {"demand": demand, "forecast": forecast}
+                forecast = forecasts[index]
+                data = {"demand": demands[index], "forecast": forecast}
+                prev_forecast = previous[index]
                 if prev_forecast is not None:
                     data["prev_forecast"] = prev_forecast
                 if target is not None:
@@ -1396,13 +1404,12 @@ class HotC(RuntimeProvider):
                     host=host,
                     key=str(key),
                 ).set(self.pool.num_total(key))
-                if forecast is not None:
-                    obs.gauge(
-                        "demand_forecast",
-                        help="Latest combined ES+Markov demand forecast",
-                        host=host,
-                        key=str(key),
-                    ).set(forecast)
+                obs.gauge(
+                    "demand_forecast",
+                    help="Latest combined ES+Markov demand forecast",
+                    host=host,
+                    key=str(key),
+                ).set(forecast)
         if admission is not None:
             # Drive the AIMD interval from the same control clock; the
             # controller collapses co-scheduled multi-host ticks.

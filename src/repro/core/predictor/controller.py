@@ -3,93 +3,382 @@
 The controller is the glue between raw observations ("how many
 containers of type *k* were needed this interval") and actionable
 targets ("keep *n* warm containers of type *k*").  HotC's middleware
-calls :meth:`observe` once per key per control interval and reads
-:meth:`target` when resizing the pool.
+calls :meth:`AdaptivePoolController.observe` once per control interval
+with every key's demand and reads :meth:`~AdaptivePoolController.target`
+/ :meth:`~AdaptivePoolController.target_upper` when resizing the pool.
+
+The controller is a structure-of-arrays *bank* with one row per key:
+ES level and count, the last corrected forecast, the residual window
+(values plus ``int8`` region states) with its bin edges and range,
+per-lag transition counts of shape ``(K, horizon, n, n)``, state
+occupancy, and the demand/forecast histories.  One :meth:`observe`
+call advances every row in a handful of numpy passes — the ES update
+(Eq. 1), the Markov append with incremental lag counts, a batched
+rebuild for rows whose residual range changed, the 1-step Markov
+correction (Eq. 2) and the risk-aware upper forecast — and caches both
+targets, so the per-key queries are O(1) reads.
+
+:class:`~repro.core.predictor.combined.CombinedPredictor` stays the
+executable spec: a bank row reproduces one ``CombinedPredictor`` (fed
+the same series) bit for bit, which ``tests/core/test_predictor_bank.py``
+checks on every tick.  DESIGN.md §5c explains why the batched
+arithmetic is exactly the scalar arithmetic.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.predictor.combined import CombinedPredictor
+import numpy as np
+
+from repro.core.predictor.exponential import _INIT_POLICIES, _INIT_WINDOW
+from repro.core.predictor.markov import DEFAULT_WINDOW
 
 __all__ = ["AdaptivePoolController"]
 
-PredictorFactory = Callable[[], CombinedPredictor]
+#: Initial row capacity (keys); doubles as keys arrive.
+_INITIAL_ROWS = 16
+#: Initial column capacity of the windows; doubles with the longest
+#: retained series, up to the window length.
+_INITIAL_COLS = 8
+
+#: Per-row arrays grown together when keys arrive.
+_ROW_ARRAYS = (
+    "_count", "_level", "_forecast", "_target", "_upper", "_lo", "_hi",
+    "_edges", "_occupancy", "_counts",
+)
+#: Per-row, per-observation windows (column ``t % cols`` holds step t).
+_WINDOW_ARRAYS = ("_values", "_states", "_demand", "_forecasts")
+
+
+def _grown(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``array`` zero-padded to ``shape``."""
+    grown = np.zeros(shape, dtype=array.dtype)
+    grown[tuple(slice(0, size) for size in array.shape)] = array
+    return grown
 
 
 class AdaptivePoolController:
-    """Maintains one predictor and demand history per runtime key.
+    """ES + Markov demand predictor bank, one row per runtime key.
 
-    Parameters
-    ----------
-    predictor_factory:
-        Zero-arg callable building a fresh predictor for a new key.
-        Defaults to the paper's configuration
-        (:class:`CombinedPredictor` with alpha=0.8).
+    Parameters mirror :class:`CombinedPredictor` (``alpha``,
+    ``n_states``, ``init``, ``min_history``, ``markov_window``; the
+    forecast is clamped at 0) plus the pool-sizing risk level:
+
+    quantile, horizon:
+        :meth:`target_upper` provisions for the ``quantile`` of the
+        demand over the next ``horizon`` intervals (see
+        :meth:`CombinedPredictor.forecast_upper`).
     max_target:
         Upper clamp on any per-key target (safety net, mirrors the
         pool-wide 500-container cap).
+
+    ``history`` and ``forecast_history`` keep the last ``markov_window``
+    observations per key (everything when the window is ``None``), so a
+    long run does not grow them without bound.
     """
 
     def __init__(
         self,
-        predictor_factory: Optional[PredictorFactory] = None,
+        alpha: float = 0.8,
+        n_states: int = 4,
+        init: str = "auto",
+        min_history: int = 6,
+        markov_window: Optional[int] = DEFAULT_WINDOW,
+        quantile: float = 0.9,
+        horizon: int = 4,
         max_target: int = 500,
     ) -> None:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        if init not in _INIT_POLICIES:
+            raise ValueError(f"init must be one of {_INIT_POLICIES}, got {init!r}")
+        if not 2 <= n_states <= 127:
+            raise ValueError(f"n_states must be in [2, 127], got {n_states}")
+        if min_history < 2:
+            raise ValueError("min_history must be >= 2")
+        if markov_window is not None and markov_window < 2:
+            raise ValueError(f"window must be >= 2 (or None), got {markov_window}")
+        if not 0.0 < quantile <= 1.0:
+            raise ValueError(f"quantile must be in (0, 1], got {quantile}")
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         if max_target < 0:
             raise ValueError("max_target must be >= 0")
-        self._factory = predictor_factory or CombinedPredictor
+        self.alpha = alpha
+        self.n_states = n_states
+        self.init = init
+        self.min_history = min_history
+        self.window = markov_window
+        self.quantile = quantile
+        self.horizon = horizon
         self.max_target = max_target
-        self._predictors: Dict[object, CombinedPredictor] = {}
-        self._history: Dict[object, List[float]] = {}
-        self._forecasts: Dict[object, List[float]] = {}
+        self._rows: Dict[object, int] = {}
+        rows = _INITIAL_ROWS
+        cols = _INITIAL_COLS if markov_window is None else min(_INITIAL_COLS, markov_window)
+        self._cols = cols
+        # -- ES (Eq. 1) and the cached outputs ------------------------------
+        self._count = np.zeros(rows, dtype=np.int64)
+        self._level = np.zeros(rows)
+        self._forecast = np.zeros(rows)
+        self._target = np.zeros(rows, dtype=np.int64)
+        self._upper = np.zeros(rows, dtype=np.int64)
+        # -- residual Markov chain (Eq. 2) -----------------------------------
+        self._lo = np.zeros(rows)
+        self._hi = np.zeros(rows)
+        self._edges = np.zeros((rows, n_states + 1))
+        self._occupancy = np.zeros((rows, n_states), dtype=np.int64)
+        self._counts = np.zeros((rows, horizon, n_states, n_states), dtype=np.int64)
+        # -- windows, indexed by observation step modulo ``_cols`` -----------
+        self._values = np.zeros((rows, cols))
+        self._states = np.zeros((rows, cols), dtype=np.int8)
+        self._demand = np.zeros((rows, cols))
+        self._forecasts = np.zeros((rows, cols))
 
     # -- observation ------------------------------------------------------
-    def observe(self, key, demand: float) -> float:
-        """Record one interval's demand for ``key``; returns the forecast."""
-        if demand < 0:
-            raise ValueError(f"demand must be >= 0, got {demand}")
-        predictor = self._predictors.get(key)
-        if predictor is None:
-            predictor = self._factory()
-            self._predictors[key] = predictor
-            self._history[key] = []
-            self._forecasts[key] = []
-        self._history[key].append(float(demand))
-        forecast = predictor.update(float(demand))
-        self._forecasts[key].append(forecast)
-        return forecast
+    def observe(self, keys: Sequence, demands: Sequence[float]) -> List[float]:
+        """Record one interval's demand for each key; returns the forecasts.
+
+        ``keys`` must be distinct; ``demands[i]`` belongs to ``keys[i]``
+        and the returned list is aligned the same way.  Keys seen for the
+        first time get a fresh row.
+        """
+        x = np.asarray(demands, dtype=float)
+        if x.shape != (len(keys),):
+            raise ValueError("keys and demands must have the same length")
+        if not x.size:
+            return []
+        if not np.isfinite(x).all():
+            raise ValueError("demand must be finite")
+        if (x < 0).any():
+            raise ValueError(f"demand must be >= 0, got {x.min()}")
+        if len(set(keys)) != len(keys):
+            raise ValueError("keys must be distinct")
+        r = self._rows_for(keys)
+        t = self._count[r]
+        self._fit_columns(int(t.max()))
+        col = t % self._cols
+
+        # Eq. 1; the mean-based init averages the first observations.
+        prev = self._level[r]
+        n_obs = t + 1
+        level = self.alpha * x + (1 - self.alpha) * prev
+        if self.init != "first":
+            warm = n_obs <= _INIT_WINDOW
+            if warm.any():
+                level = np.where(warm, prev + (x - prev) / n_obs, level)
+        level = np.where(t == 0, x, level)
+
+        # The residual of the previous trend forecast feeds the chain.
+        later = t >= 1
+        if later.any():
+            self._append_residuals(r[later], t[later], x[later] - prev[later])
+        residuals = t if self.window is None else np.minimum(t, self.window)
+        engaged = (n_obs >= self.min_history) & (residuals >= 2)
+
+        forecast = level
+        upper = None
+        if engaged.any():
+            er = r[engaged]
+            state = self._states[er, col[engaged]].astype(np.intp)
+            edges = self._edges[er]
+            midpoints = 0.5 * (edges[:, :-1] + edges[:, 1:])
+            trend = level[engaged]
+            lag1 = self._counts[er, 0, state]
+            # Most probable next state; a state with no departures stays.
+            nxt = np.where(lag1.any(axis=1), lag1.argmax(axis=1), state)
+            forecast = level.copy()
+            forecast[engaged] = trend + midpoints[np.arange(er.size), nxt]
+        forecast = np.where(forecast > 0.0, forecast, 0.0)
+        if engaged.any():
+            upper = forecast.copy()
+            upper[engaged] = self._forecast_upper(
+                er, state, midpoints, trend, forecast[engaged]
+            )
+
+        self._count[r] = n_obs
+        self._level[r] = level
+        self._forecast[r] = forecast
+        self._demand[r, col] = x
+        self._forecasts[r, col] = forecast
+        self._target[r] = self._clamp(forecast)
+        self._upper[r] = self._target[r] if upper is None else self._clamp(upper)
+        return forecast.tolist()
+
+    def _rows_for(self, keys: Sequence) -> np.ndarray:
+        """Row index of each key, appending rows for new keys."""
+        index = self._rows
+        rows = []
+        for key in keys:
+            row = index.get(key)
+            if row is None:
+                row = index[key] = len(index)
+            rows.append(row)
+        capacity = self._count.shape[0]
+        if len(index) > capacity:
+            while capacity < len(index):
+                capacity *= 2
+            for name in _ROW_ARRAYS + _WINDOW_ARRAYS:
+                array = getattr(self, name)
+                setattr(self, name, _grown(array, (capacity,) + array.shape[1:]))
+        return np.array(rows, dtype=np.intp)
+
+    def _fit_columns(self, step: int) -> None:
+        """Make room for observation ``step`` in the windows.
+
+        Columns double with the longest retained series, up to the
+        window length; once a row has filled the window, step ``t``
+        overwrites step ``t - window`` in column ``t % window``.
+        """
+        cols = self._cols
+        if step < cols or cols == self.window:
+            return
+        while cols <= step:
+            cols *= 2
+        if self.window is not None:
+            cols = min(cols, self.window)
+        self._cols = cols
+        for name in _WINDOW_ARRAYS:
+            array = getattr(self, name)
+            setattr(self, name, _grown(array, (array.shape[0], cols)))
+
+    def _append_residuals(self, r: np.ndarray, t: np.ndarray, v: np.ndarray) -> None:
+        """:meth:`MarkovChain.update` for rows ``r``: residual ``v`` of step ``t``."""
+        cols = self._cols
+        window = self.window
+        counts = self._counts
+        states = self._states
+        length = t - 1 if window is None else np.minimum(t - 1, window)
+        # Rows without bin edges yet rebuild as soon as they have two.
+        dirty = length < 2
+        if window is not None:
+            full = length == window
+            if full.any():
+                fr, ft = r[full], t[full]
+                head = (ft - window) % cols
+                first = states[fr, head]
+                for k in range(1, min(self.horizon, window - 1) + 1):
+                    counts[fr, k - 1, first, states[fr, (head + k) % cols]] -= 1
+                self._occupancy[fr, first] -= 1
+                evicted = self._values[fr, head]
+                # An extreme left the window: the bins must be rebuilt.
+                dirty[full] = (evicted == self._lo[fr]) | (evicted == self._hi[fr])
+                length = length - full
+        col = t % cols
+        self._values[r, col] = v
+        length = length + 1
+        ready = length >= 2
+        rebuild = ready & (dirty | (v < self._lo[r]) | (v > self._hi[r]))
+        if rebuild.any():
+            self._rebuild(r[rebuild], t[rebuild], length[rebuild])
+        step = ready & ~rebuild
+        if step.any():
+            sr, st, sl = r[step], t[step], length[step]
+            state = self._bin(self._edges[sr], v[step])
+            for k in range(1, self.horizon + 1):
+                has = sl > k
+                if has.any():
+                    counts[sr[has], k - 1, states[sr[has], (st[has] - k) % cols], state[has]] += 1
+            states[sr, st % cols] = state
+            self._occupancy[sr, state] += 1
+
+    def _rebuild(self, r: np.ndarray, t: np.ndarray, length: np.ndarray) -> None:
+        """:meth:`MarkovChain._rebuild` for rows ``r`` (windows end at step ``t``)."""
+        n = self.n_states
+        span = np.arange(int(length.max()))
+        valid = span < length[:, None]
+        cols = ((t - length + 1)[:, None] + span) % self._cols
+        values = self._values[r[:, None], cols]
+        lo = np.where(valid, values, np.inf).min(axis=1)
+        hi = np.where(valid, values, -np.inf).max(axis=1)
+        # Degenerate constant series: one unit-wide range above the value.
+        edges = np.linspace(lo, np.where(hi == lo, lo + 1.0, hi), n + 1, axis=-1)
+        states = self._bin(edges[:, None, :], values)
+        self._lo[r] = lo
+        self._hi[r] = hi
+        self._edges[r] = edges
+        owner = np.broadcast_to(np.arange(r.size)[:, None], values.shape)
+        self._states[r[owner[valid]], cols[valid]] = states[valid]
+        cells = owner * n + states
+        self._occupancy[r] = np.bincount(
+            cells[valid], minlength=r.size * n
+        ).reshape(r.size, n)
+        for k in range(1, self.horizon + 1):
+            pairs = cells[:, :-k] * n + states[:, k:]
+            self._counts[r, k - 1] = np.bincount(
+                pairs[valid[:, k:]], minlength=r.size * n * n
+            ).reshape(r.size, n, n)
+
+    def _bin(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Region state of each value: ``searchsorted(edges, v, "right") - 1``
+        (the count of edges <= v, minus one), clipped to the states."""
+        below = (values[..., None] >= edges).sum(axis=-1)
+        return np.clip(below - 1, 0, self.n_states - 1)
+
+    def _forecast_upper(
+        self,
+        r: np.ndarray,
+        state: np.ndarray,
+        midpoints: np.ndarray,
+        trend: np.ndarray,
+        point: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`CombinedPredictor.forecast_upper` for engaged rows ``r``."""
+        n = self.n_states
+        rows = np.arange(r.size)
+        order = np.argsort(midpoints, axis=1)
+        threshold = self.quantile - 1e-12
+        marginal = None
+        best = point
+        for k in range(self.horizon):
+            row = self._counts[r, k, state].astype(float)
+            sums = row.sum(axis=1)
+            empty = sums == 0
+            if empty.any():
+                # No departures at this lag: anything the series has done.
+                if marginal is None:
+                    occupancy = self._occupancy[r]
+                    marginal = occupancy / occupancy.sum(axis=1, keepdims=True)
+                row[empty] = marginal[empty]
+                sums = row.sum(axis=1)
+            cumulative = np.cumsum(
+                (row / sums[:, None])[rows[:, None], order], axis=1
+            )
+            hit = cumulative >= threshold
+            first = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
+            candidate = trend + midpoints[rows, order[rows, first]]
+            candidate = np.where(candidate > 0.0, candidate, 0.0)
+            best = np.where(candidate > best, candidate, best)
+        return np.where(point > best, point, best)
+
+    def _clamp(self, forecast: np.ndarray) -> np.ndarray:
+        """Rounded-up forecasts clamped to ``[0, max_target]``."""
+        return np.clip(np.ceil(forecast - 1e-9), 0, self.max_target).astype(np.int64)
 
     # -- queries ----------------------------------------------------------
+    def forecast(self, key) -> Optional[float]:
+        """The latest forecast for ``key`` (None if never observed)."""
+        row = self._rows.get(key)
+        return None if row is None else self._forecast.item(row)
+
     def target(self, key) -> int:
         """Warm-container target for ``key``: the rounded-up forecast."""
-        predictor = self._predictors.get(key)
-        if predictor is None or predictor.forecast is None:
-            return 0
-        return int(min(self.max_target, max(0, math.ceil(predictor.forecast - 1e-9))))
+        row = self._rows.get(key)
+        return 0 if row is None else self._target.item(row)
 
-    def target_upper(self, key, quantile: float = 0.9, horizon: int = 4) -> int:
+    def target_upper(self, key) -> int:
         """Risk-aware target from the k-step upper-quantile forecast.
 
-        Never below :meth:`target`: ``forecast_upper`` is clamped to the
+        Never below :meth:`target`: the upper forecast is clamped to the
         point forecast (and falls back to it while the key's residual
         chain has no data), so the risk-aware target can only add
         capacity.  This is the target HotC's pool resizing uses: it
         keeps capacity provisioned across recurring bursts (Fig 14b).
         """
-        predictor = self._predictors.get(key)
-        if predictor is None:
-            return 0
-        upper = predictor.forecast_upper(quantile=quantile, horizon=horizon)
-        if upper is None:
-            return 0
-        return int(min(self.max_target, max(0, math.ceil(upper - 1e-9))))
+        row = self._rows.get(key)
+        return 0 if row is None else self._upper.item(row)
 
-    def donation_headroom(
-        self, key, total: int, quantile: float = 0.9, horizon: int = 4
-    ) -> int:
+    def donation_headroom(self, key, total: int) -> int:
         """How many of ``total`` pooled containers ``key`` can donate.
 
         The repurposing donor policy: a key may give up idle containers
@@ -101,23 +390,28 @@ class AdaptivePoolController:
         """
         if total < 0:
             raise ValueError(f"total must be >= 0, got {total}")
-        need = max(
-            self.target(key),
-            self.target_upper(key, quantile=quantile, horizon=horizon),
-        )
-        return max(0, total - need)
+        return max(0, total - max(self.target(key), self.target_upper(key)))
 
     def known_keys(self) -> Tuple:
         """All keys that have been observed, insertion-ordered."""
-        return tuple(self._predictors)
+        return tuple(self._rows)
 
     def history(self, key) -> Tuple[float, ...]:
-        """Raw demand history of a key."""
-        return tuple(self._history.get(key, ()))
+        """Raw demand history of a key (the last ``markov_window`` steps)."""
+        return self._series(key, self._demand)
 
     def forecast_history(self, key) -> Tuple[float, ...]:
-        """Forecast made after each observation (for Fig 10)."""
-        return tuple(self._forecasts.get(key, ()))
+        """Forecast made after each retained observation (for Fig 10)."""
+        return self._series(key, self._forecasts)
+
+    def _series(self, key, table: np.ndarray) -> Tuple[float, ...]:
+        row = self._rows.get(key)
+        if row is None:
+            return ()
+        count = self._count.item(row)
+        kept = count if self.window is None else min(count, self.window)
+        steps = np.arange(count - kept, count) % self._cols
+        return tuple(table[row, steps].tolist())
 
     def relative_errors(self, key) -> Tuple[float, ...]:
         """|forecast_{t-1} - actual_t| / max(actual_t, 1) per step.
@@ -125,8 +419,8 @@ class AdaptivePoolController:
         ``forecast_history[i]`` predicts ``history[i+1]`` — the series
         behind the paper's "relative error drops from 29% to 10%" claim.
         """
-        history = self._history.get(key, [])
-        forecasts = self._forecasts.get(key, [])
+        history = self.history(key)
+        forecasts = self.forecast_history(key)
         errors = []
         for index in range(1, len(history)):
             actual = history[index]

@@ -246,11 +246,12 @@ def day_1m(seed: int = 0) -> ScenarioSpec:
 
     1 000 runtime keys with a Zipf(1.1) head, a ±45 % diurnal cycle,
     two 8× flash crowds, hourly tenant churn, 20 tenants over 3 hosts.
-    The adaptive control loop stays off at this scale (its per-tick
-    sweep is O(keys × hosts); ``day-smoke`` covers the adaptive path) —
-    the arm exercises steady-state pool reuse, placement, and
-    repurposing.  Must complete in < 60 s wall
-    (``benchmarks/bench_scenario_day.py --check``).
+    The adaptive control loop stays off in this arm, so its report and
+    gate are the steady-state baseline (``day-smoke`` covers the
+    adaptive path, whose tick is one batched predictor step per host
+    plus a per-key resize, DESIGN.md §5c) — the arm exercises
+    steady-state pool reuse, placement, and repurposing.  Must complete
+    in < 60 s wall (``benchmarks/bench_scenario_day.py --check``).
     """
     return ScenarioSpec(
         name="day-1m",

@@ -276,7 +276,15 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
         )
         admission.bind(sim)
 
+    for image, _ in _TRACE_IMAGES[: spec.traffic.n_images]:
+        for engine in engines:
+            sim.process(engine.ensure_image(image))
+    sim.run()
+
     if spec.faults is not None:
+        # Installed after the image-pull drain: ``sim.run()`` runs until
+        # the queue is empty, so it would fire every scheduled fault
+        # before the first arrival.
         plan = FaultPlan.random(
             seed=derive_seed(spec.seed, "faults"),
             duration_ms=config.duration_ms,
@@ -319,11 +327,6 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
     shed_counts = [0] * n_tenants
     inflight = [0]
     request_seq = [0]
-
-    for image, _ in _TRACE_IMAGES[: spec.traffic.n_images]:
-        for engine in engines:
-            sim.process(engine.ensure_image(image))
-    sim.run()
 
     def request(key: int):
         tenant = tenant_by_key[key]

@@ -70,54 +70,48 @@ class TestAdaptivePoolController:
             AdaptivePoolController(max_target=-1)
         controller = AdaptivePoolController()
         with pytest.raises(ValueError):
-            controller.observe("k", -1.0)
+            controller.observe(["k"], [-1.0])
 
     def test_unknown_key_target_zero(self):
         assert AdaptivePoolController().target("nope") == 0
 
     def test_target_is_ceiled_forecast(self):
-        controller = AdaptivePoolController(
-            predictor_factory=lambda: CombinedPredictor(alpha=0.8, init="first")
-        )
-        controller.observe("k", 3.0)
+        controller = AdaptivePoolController(alpha=0.8, init="first")
+        controller.observe(["k"], [3.0])
         # forecast after one obs == 3.0 -> target 3
         assert controller.target("k") == 3
 
     def test_target_clamped_to_max(self):
         controller = AdaptivePoolController(max_target=5)
-        controller.observe("k", 100.0)
+        controller.observe(["k"], [100.0])
         assert controller.target("k") == 5
 
     def test_history_and_forecasts_recorded(self):
         controller = AdaptivePoolController()
         for value in (2.0, 4.0, 6.0):
-            controller.observe("k", value)
+            controller.observe(["k"], [value])
         assert controller.history("k") == (2.0, 4.0, 6.0)
         assert len(controller.forecast_history("k")) == 3
         assert controller.known_keys() == ("k",)
 
     def test_keys_have_independent_predictors(self):
         controller = AdaptivePoolController()
-        controller.observe("a", 10.0)
-        controller.observe("b", 1.0)
+        controller.observe(["a"], [10.0])
+        controller.observe(["b"], [1.0])
         assert controller.target("a") > controller.target("b")
 
     def test_relative_errors(self):
-        controller = AdaptivePoolController(
-            predictor_factory=lambda: CombinedPredictor(alpha=0.8, init="first")
-        )
-        controller.observe("k", 10.0)  # forecast -> 10
-        controller.observe("k", 20.0)  # error vs 10: |10-20|/20 = 0.5
+        controller = AdaptivePoolController(alpha=0.8, init="first")
+        controller.observe(["k"], [10.0])  # forecast -> 10
+        controller.observe(["k"], [20.0])  # error vs 10: |10-20|/20 = 0.5
         errors = controller.relative_errors("k")
         assert len(errors) == 1
         assert errors[0] == pytest.approx(0.5)
 
     def test_relative_error_guard_small_actuals(self):
-        controller = AdaptivePoolController(
-            predictor_factory=lambda: CombinedPredictor(alpha=0.8, init="first")
-        )
-        controller.observe("k", 1.0)
-        controller.observe("k", 0.0)  # denominator guarded by max(.,1)
+        controller = AdaptivePoolController(alpha=0.8, init="first")
+        controller.observe(["k"], [1.0])
+        controller.observe(["k"], [0.0])  # denominator guarded by max(.,1)
         assert controller.relative_errors("k")[0] == pytest.approx(1.0)
 
 

@@ -142,8 +142,8 @@ class TestDonationHeadroom:
     def test_observed_key_keeps_its_forecast(self):
         controller = self.make_controller()
         for _ in range(8):
-            controller.observe("k", 2.0)
-        need = max(controller.target("k"), controller.target_upper("k", 0.9, 4))
+            controller.observe(["k"], [2.0])
+        need = max(controller.target("k"), controller.target_upper("k"))
         assert need >= 2
         assert controller.donation_headroom("k", need) == 0
         assert controller.donation_headroom("k", need + 2) == 2
@@ -153,7 +153,7 @@ class TestDonationHeadroom:
         donor: a recurring burst keeps surplus containers home."""
         controller = self.make_controller()
         for value in [1.0, 1.0, 1.0, 10.0] * 8:
-            controller.observe("k", value)
+            controller.observe(["k"], [value])
         point = controller.target("k")
         headroom = controller.donation_headroom("k", point + 1)
         assert headroom == 0
@@ -161,7 +161,7 @@ class TestDonationHeadroom:
     def test_never_negative_and_validates(self):
         controller = self.make_controller()
         for _ in range(8):
-            controller.observe("k", 5.0)
+            controller.observe(["k"], [5.0])
         assert controller.donation_headroom("k", 1) == 0
         with pytest.raises(ValueError):
             controller.donation_headroom("k", -1)
@@ -173,8 +173,8 @@ class TestControllerUpperTarget:
 
         controller = AdaptivePoolController()
         for value in [8.0, 8.0, 8.0, 80.0] * 6:
-            controller.observe("k", value)
-        assert controller.target_upper("k", 0.9, 4) >= controller.target("k")
+            controller.observe(["k"], [value])
+        assert controller.target_upper("k") >= controller.target("k")
 
     def test_unknown_key(self):
         from repro.core import AdaptivePoolController
@@ -184,7 +184,7 @@ class TestControllerUpperTarget:
     def test_clamped_to_max_target(self):
         from repro.core import AdaptivePoolController
 
-        controller = AdaptivePoolController(max_target=10)
+        controller = AdaptivePoolController(quantile=0.99, max_target=10)
         for value in [8.0, 8.0, 8.0, 900.0] * 6:
-            controller.observe("k", value)
-        assert controller.target_upper("k", 0.99, 4) <= 10
+            controller.observe(["k"], [value])
+        assert controller.target_upper("k") <= 10

@@ -1,0 +1,200 @@
+"""Differential test: the batched predictor bank against the spec.
+
+:class:`AdaptivePoolController` keeps every key's ES + Markov state in
+one structure-of-arrays bank and advances all keys in one batched
+``observe``.  :class:`CombinedPredictor` is its executable spec: one
+instance per key, built from the same :class:`HotCConfig`, must give
+the same forecast, targets and donor headroom — compared with ``==``,
+no tolerance — after every tick of a long random stream.
+"""
+
+import math
+import random
+
+import pytest
+
+from repro.core import AdaptivePoolController, PoolLimits
+from repro.core.hotc import HotCConfig
+
+
+def _clamped(value, max_target):
+    """The controller's target rule applied to a spec forecast."""
+    return int(min(max_target, max(0, math.ceil(value - 1e-9))))
+
+
+class _Oracle:
+    """One spec predictor per key plus its expected outputs."""
+
+    def __init__(self, config: HotCConfig) -> None:
+        self.config = config
+        self.predictors = {}
+        #: key -> (forecast, target, target_upper) after its last update.
+        self.expected = {}
+
+    def update(self, key, demand):
+        predictor = self.predictors.get(key)
+        if predictor is None:
+            predictor = self.predictors[key] = self.config.make_predictor()
+        forecast = predictor.update(float(demand))
+        upper = predictor.forecast_upper(
+            quantile=self.config.target_quantile,
+            horizon=self.config.target_horizon,
+        )
+        cap = self.config.limits.max_containers
+        self.expected[key] = (forecast, _clamped(forecast, cap), _clamped(upper, cap))
+        return forecast
+
+
+def _demand_stream(rng: random.Random, ticks: int, n_keys: int, presence: float):
+    """Per tick, a shuffled random subset of keys with their demands.
+
+    Keys first appear mid-stream, and each started key is observed with
+    probability ``presence``.  The shapes cover Poisson-like noise,
+    recurring bursts, a constant series (the residual range collapses
+    to hi == lo), fractional demand, and a burst decaying into a long
+    zero-demand tail.
+    """
+    kinds = ("noise", "burst", "constant", "fractional", "tail")
+    starts = [0] + [rng.randrange(ticks // 2) for _ in range(n_keys - 1)]
+    for tick in range(ticks):
+        batch = []
+        for key in range(n_keys):
+            age = tick - starts[key]
+            if age < 0 or rng.random() >= presence:
+                continue
+            kind = kinds[key % len(kinds)]
+            if kind == "noise":
+                demand = rng.choice((0, 1, 2, 2, 3, 5, 8))
+            elif kind == "burst":
+                demand = 40 if age % (4 + key % 3) == 0 else rng.randrange(3)
+            elif kind == "constant":
+                demand = 3
+            elif kind == "fractional":
+                demand = round(rng.uniform(0.0, 12.0), rng.randrange(4))
+            else:
+                demand = rng.randrange(30) if age < 40 else 0
+            batch.append((f"k{key}", demand))
+        rng.shuffle(batch)
+        yield batch
+
+
+def _drive(
+    config: HotCConfig, ticks: int, n_keys: int, seed: int, presence: float = 0.9
+) -> None:
+    rng = random.Random(seed)
+    bank = config.make_controller()
+    oracle = _Oracle(config)
+    for tick, batch in enumerate(_demand_stream(rng, ticks, n_keys, presence)):
+        forecasts = bank.observe(
+            [key for key, _ in batch], [demand for _, demand in batch]
+        )
+        for (key, demand), forecast in zip(batch, forecasts):
+            assert forecast == oracle.update(key, demand), (tick, key)
+        for key, (forecast, target, upper) in oracle.expected.items():
+            assert bank.forecast(key) == forecast, (tick, key)
+            assert bank.target(key) == target, (tick, key)
+            assert bank.target_upper(key) == upper, (tick, key)
+            total = rng.randrange(12)
+            assert bank.donation_headroom(key, total) == max(
+                0, total - max(target, upper)
+            ), (tick, key)
+    assert bank.known_keys() == tuple(oracle.predictors)
+
+
+@pytest.mark.parametrize("markov_correction", [True, False])
+@pytest.mark.parametrize("init", ["auto", "first", "mean5"])
+@pytest.mark.parametrize("markov_window", [None, 8, 512])
+def test_bank_matches_spec_across_configs(markov_window, init, markov_correction):
+    config = HotCConfig(
+        markov_window=markov_window, init=init, markov_correction=markov_correction
+    )
+    seed = len(init) * 1000 + (markov_window or 0) + markov_correction
+    _drive(config, ticks=250, n_keys=5, seed=seed)
+
+
+def test_bank_matches_spec_over_ten_thousand_ticks():
+    """Long enough for the default 512 window to evict and rebuild
+    (every key is observed ~3,000 times)."""
+    _drive(HotCConfig(), ticks=10_000, n_keys=5, seed=11, presence=0.3)
+
+
+@pytest.mark.parametrize(
+    "quantile, horizon, n_states", [(0.5, 1, 4), (0.99, 6, 3), (1.0, 2, 6)]
+)
+def test_bank_matches_spec_at_other_risk_levels(quantile, horizon, n_states):
+    config = HotCConfig(
+        target_quantile=quantile,
+        target_horizon=horizon,
+        n_states=n_states,
+        markov_window=16,
+        limits=PoolLimits(max_containers=20),
+    )
+    _drive(config, ticks=300, n_keys=5, seed=horizon)
+
+
+def test_histories_match_spec_series():
+    """Below the window the histories are the whole series."""
+    config = HotCConfig(markov_window=64)
+    rng = random.Random(5)
+    bank = config.make_controller()
+    spec = config.make_predictor()
+    demands, forecasts = [], []
+    for _ in range(50):
+        demand = rng.randrange(10)
+        bank.observe(["k"], [demand])
+        demands.append(float(demand))
+        forecasts.append(spec.update(demand))
+    assert bank.history("k") == tuple(demands)
+    assert bank.forecast_history("k") == tuple(forecasts)
+
+
+class TestBoundedHistory:
+    def test_history_length_stays_flat(self):
+        bank = AdaptivePoolController(markov_window=32)
+        lengths = set()
+        for tick in range(2_000):
+            bank.observe(["a", "b"], [tick % 7, 3])
+            if tick >= 32:
+                lengths.add((len(bank.history("a")), len(bank.forecast_history("b"))))
+        assert lengths == {(32, 32)}
+        # The retained tail is the most recent window, in order.
+        assert bank.history("a") == tuple(float(t % 7) for t in range(1_968, 2_000))
+
+    def test_unbounded_window_keeps_everything(self):
+        bank = AdaptivePoolController(markov_window=None)
+        for tick in range(600):
+            bank.observe(["a"], [tick % 5])
+        assert len(bank.history("a")) == 600
+
+
+class TestObserveValidation:
+    def test_rejects_bad_batches(self):
+        bank = AdaptivePoolController()
+        with pytest.raises(ValueError):
+            bank.observe(["a", "a"], [1, 2])
+        with pytest.raises(ValueError):
+            bank.observe(["a"], [1, 2])
+        with pytest.raises(ValueError):
+            bank.observe(["a"], [float("nan")])
+        with pytest.raises(ValueError):
+            bank.observe(["a"], [-1])
+        # The rejected batches recorded nothing.
+        assert bank.known_keys() == ()
+        assert bank.observe([], []) == []
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": 1.0},
+            {"init": "median"},
+            {"n_states": 1},
+            {"n_states": 128},
+            {"min_history": 1},
+            {"markov_window": 1},
+            {"quantile": 0.0},
+            {"horizon": 0},
+        ],
+    )
+    def test_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError):
+            AdaptivePoolController(**kwargs)

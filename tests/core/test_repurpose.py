@@ -297,7 +297,7 @@ class TestRepurpose:
         key_a = provider.key_of(spec_a.container_config())
         # Observed demand says fn-a's one container will be needed.
         for _ in range(8):
-            provider.controller.observe(key_a, 2.0)
+            provider.controller.observe([key_a], [2.0])
         platform.submit("fn-b")
         platform.run()
         assert platform.traces.cold_count() == 2

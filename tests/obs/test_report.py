@@ -17,7 +17,7 @@ from repro.obs import (
 def fed_controller(values, key="k"):
     controller = AdaptivePoolController()
     for value in values:
-        controller.observe(key, value)
+        controller.observe([key], [value])
     return controller
 
 

@@ -217,6 +217,36 @@ class TestTraceArms:
         arm = run_scenario(spec).arm("hotc")
         assert arm.requests + arm.failed + arm.shed > 0
 
+    def test_scheduled_outage_starts_after_first_arrival(self, monkeypatch):
+        """The image-pull drain runs the queue empty, so a fault plan
+        installed before it fired its whole schedule before the first
+        request.  The outage must land inside the trace."""
+        from repro.core.cluster import ClusterHotC
+        from repro.faults.plan import FaultPlan
+
+        outages, arrivals = [], []
+        begin_outage = FaultPlan._begin_outage
+        acquire = ClusterHotC.acquire
+
+        def record_outage(self, engine, injector):
+            outages.append(engine.sim.now)
+            begin_outage(self, engine, injector)
+
+        def record_acquire(self, config):
+            arrivals.append(self.sim.now)
+            return (yield from acquire(self, config))
+
+        monkeypatch.setattr(FaultPlan, "_begin_outage", record_outage)
+        monkeypatch.setattr(ClusterHotC, "acquire", record_acquire)
+        run_scenario(
+            small_trace_spec(
+                faults=FaultsSpec(outages=1),
+                arms=(ArmSpec(name="hotc", use_hotc=True),),
+            )
+        )
+        assert len(outages) == 1
+        assert arrivals[0] < outages[0] < arrivals[-1]
+
 
 class TestGuards:
     def test_pattern_traffic_rejects_faults(self):
