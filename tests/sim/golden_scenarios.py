@@ -172,3 +172,74 @@ def scenario_observatory(seed: int = 3) -> List[dict]:
     platform.run()
     platform.shutdown()
     return [event.as_dict() for event in observatory.events]
+
+
+def scenario_gateway(seed: int = 0) -> List[list]:
+    """The six-moment request path on a 3-host cluster, one row per request.
+
+    Two gateway slots make requests queue for a grant, and an admission
+    controller in front sheds some of them, so every branch of
+    ``Gateway.handle`` runs.  Each row holds t0..t6, the cold flag, the
+    serving container and the terminal outcome.
+    """
+    import math
+
+    from repro.admission.controller import AdmissionConfig, AdmissionController
+    from repro.core.cluster import make_cluster_platform
+    from repro.faas.function import FunctionSpec
+    from repro.sim.rng import RngRegistry
+    from repro.workloads.apps import default_catalog
+
+    platform = make_cluster_platform(
+        default_catalog().make_registry(), n_hosts=3, seed=seed,
+        gateway_concurrency=2,
+    )
+    platform.attach_admission(
+        AdmissionController(
+            AdmissionConfig(max_queue_depth=8, default_deadline_ms=5_000.0)
+        )
+    )
+    images = (("python:3.6", "python"), ("node:10", "node"))
+    names = []
+    for key in range(20):
+        image, language = images[key % len(images)]
+        spec = FunctionSpec(
+            name=f"fn-{key:02d}", image=image, language=language,
+            exec_ms=4.0 + key % 5, env=(("KEY", str(key)),),
+        )
+        platform.deploy(spec)
+        names.append(spec.name)
+    for host in platform.provider.hosts:
+        for image, _ in images:
+            platform.sim.process(host.engine.ensure_image(image))
+    platform.run()
+    rng = RngRegistry(seed).stream("golden-gateway")
+    delay = 0.0
+    for _ in range(300):
+        delay += float(rng.exponential(12.0))
+        key = min(int(rng.zipf(1.3)) - 1, len(names) - 1)
+        platform.submit(names[key], delay=delay)
+    platform.run()
+
+    def stamp(value: float):
+        return None if math.isnan(value) else value
+
+    return [
+        [
+            trace.request_id,
+            trace.function,
+            *(
+                stamp(value)
+                for value in (
+                    trace.t0_client_send, trace.t1_gateway_in,
+                    trace.t2_watchdog_in, trace.t3_function_start,
+                    trace.t4_function_stop, trace.t5_watchdog_out,
+                    trace.t6_client_recv,
+                )
+            ),
+            trace.cold_start,
+            trace.container_id,
+            trace.outcome.value,
+        ]
+        for trace in sorted(platform.traces, key=lambda t: t.request_id)
+    ]

@@ -44,6 +44,9 @@ class TestGoldenEventOrder:
     def test_observatory_log_matches_golden(self):
         check_golden("observatory", scenarios.scenario_observatory())
 
+    def test_gateway_request_path_matches_golden(self):
+        check_golden("gateway", scenarios.scenario_gateway())
+
 
 class TestEngineSelfConsistency:
     """Invariants that hold regardless of golden freshness."""
