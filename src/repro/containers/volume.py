@@ -61,14 +61,19 @@ class Volume:
 
 
 class VolumeStore:
-    """Host-level volume manager."""
+    """Host-level volume manager.
+
+    Only live volumes are kept: HotC makes a fresh volume on every
+    clean, so a store that remembered deleted ones would grow by one
+    entry per request for the life of the host.
+    """
 
     def __init__(self) -> None:
         self._volumes: Dict[str, Volume] = {}
         self._ids = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for v in self._volumes.values() if not v.deleted)
+        return len(self._volumes)
 
     def create(self) -> Volume:
         """Create a fresh empty volume."""
@@ -79,12 +84,9 @@ class VolumeStore:
     def get(self, volume_id: str) -> Volume:
         """Look up a live volume by id."""
         try:
-            volume = self._volumes[volume_id]
+            return self._volumes[volume_id]
         except KeyError:
             raise VolumeError(f"no such volume {volume_id!r}") from None
-        if volume.deleted:
-            raise VolumeError(f"volume {volume_id!r} was deleted")
-        return volume
 
     def mount(self, volume: Volume, container_id: str) -> None:
         """Attach ``volume`` to a container; volumes are single-mount."""
@@ -116,9 +118,8 @@ class VolumeStore:
             )
         volume.deleted = True
         volume._files.clear()
+        self._volumes.pop(volume.volume_id, None)
 
     def live_volumes(self) -> Tuple[Volume, ...]:
-        """All not-deleted volumes."""
-        return tuple(
-            v for _, v in sorted(self._volumes.items()) if not v.deleted
-        )
+        """All not-deleted volumes, in id order."""
+        return tuple(v for _, v in sorted(self._volumes.items()))

@@ -35,6 +35,9 @@ class CleanupWorker:
         self.cleaned = 0
         #: Optional observatory; ``None`` keeps the hooks inert.
         self.obs = None
+        #: The owner's container health plane, if any: every container
+        #: that leaves the pool through :meth:`forget` loses its record.
+        self.health = None
 
     def clean_and_recycle(self, container: Container) -> Generator:
         """Process: Algorithm 2 — wipe volume, remount, mark available.
@@ -87,11 +90,27 @@ class CleanupWorker:
         """
         from repro.containers.container import ContainerState
 
-        if self.pool.contains(container):
-            self.pool.remove(container)
+        self.forget(container)
         if container.is_live:
             yield from self.engine.stop_container(container)
             yield from self.engine.remove_container(container)
         elif container.state is ContainerState.STOPPED:
             yield from self.engine.remove_container(container)
         return container
+
+    def forget(self, container: Container) -> None:
+        """Drop a container from the pool and from the health plane.
+
+        The one exit every retired or discarded container takes, so no
+        per-container state outlives the container.
+        """
+        if self.pool.contains(container):
+            self.pool.remove(container)
+        if self.health is not None:
+            self.health.forget(container)
+
+    def discard_dead(self, container: Container, reuse: str = "hit") -> None:
+        """Un-count a just-acquired container that turned out dead, and
+        forget it (see :meth:`ContainerRuntimePool.discard_dead`)."""
+        self.pool.discard_dead(container, reuse=reuse)
+        self.forget(container)

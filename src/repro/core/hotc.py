@@ -246,6 +246,7 @@ class HotC(RuntimeProvider):
             if self.config.container_health is not None
             else None
         )
+        self.cleanup.health = self.container_health
         #: Quarantined ``(container, key, reason)`` triples awaiting
         #: their token-bucket-limited recycle.
         self._recycle_queue: List[tuple] = []
@@ -389,7 +390,7 @@ class HotC(RuntimeProvider):
                 return container
             # Not a real hit: un-count it so the retry is the only
             # lookup recorded and hit_ratio stays honest.
-            self.pool.discard_dead(container)
+            self.cleanup.discard_dead(container)
 
     def _index_relaxed(self, key: RuntimeKey) -> None:
         if self.config.fallback_key_policy is None:
@@ -439,7 +440,7 @@ class HotC(RuntimeProvider):
                 # container as request-owned, not idle.
                 container.leased = True
                 return container
-            self.pool.discard_dead(container, reuse=reuse)
+            self.cleanup.discard_dead(container, reuse=reuse)
 
     def _adopt_donor(
         self,
@@ -473,7 +474,7 @@ class HotC(RuntimeProvider):
             if not container.is_reusable:
                 # Died while being reconfigured (crash injection): the
                 # corpse must not be re-registered, let alone handed out.
-                self.pool.discard_dead(container, reuse="relaxed")
+                self.cleanup.discard_dead(container, reuse="relaxed")
                 continue
             self._adopt_donor(container, key, config, "relaxed", respec_ms)
             self.partial_hits += 1
@@ -556,7 +557,7 @@ class HotC(RuntimeProvider):
                 # Died mid-re-spec (crash injection / host outage): the
                 # failover drain may have already forgotten the entry;
                 # discard_dead tolerates that and rolls the counter back.
-                self.pool.discard_dead(container, reuse="repurpose")
+                self.cleanup.discard_dead(container, reuse="repurpose")
                 continue
             if donor_image != config.image and not self._same_language(
                 donor_image, config.image
@@ -581,7 +582,7 @@ class HotC(RuntimeProvider):
                 if sanitize_ms > 0.0:
                     yield self.sim.timeout(sanitize_ms)
                     if not container.is_reusable:
-                        self.pool.discard_dead(container, reuse="repurpose")
+                        self.cleanup.discard_dead(container, reuse="repurpose")
                         continue
                     cost += sanitize_ms
             self._adopt_donor(container, key, config, "repurpose", cost)
@@ -852,9 +853,7 @@ class HotC(RuntimeProvider):
                     self._drain_recycle_queue(), name="hotc-recycle"
                 )
                 return
-            self.container_health.forget(container)
-        if self.pool.contains(container):
-            self.pool.remove(container)
+        self.cleanup.forget(container)
         if container.is_live:
             self.sim.process(
                 self.cleanup.retire(container),
@@ -924,7 +923,6 @@ class HotC(RuntimeProvider):
             # A control-plane crash mid-retire wipes the quarantine set;
             # guard so the close-out never double-counts.
             self.pool.mark_recycled(container)
-        self.container_health.forget(container)
 
     def _health_sweep(self) -> None:
         """Control-tick sweep: recycle verdicts for *idle* containers.
@@ -952,7 +950,7 @@ class HotC(RuntimeProvider):
         removed = 0
         for entry in self.pool.entries():
             if not entry.container.is_live:
-                self.pool.remove(entry.container)
+                self.cleanup.forget(entry.container)
                 removed += 1
         return removed
 
@@ -1013,6 +1011,7 @@ class HotC(RuntimeProvider):
                 obs=self.obs,
                 host=self.engine.name,
             )
+            self.cleanup.health = self.container_health
         return lost
 
     def _recover_host(

@@ -1,5 +1,8 @@
 """Unit tests for the container engine (sim-process API)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.containers import (
@@ -259,6 +262,21 @@ class TestCleanup:
             sim, engine.execute(container, ExecSpec(app_id="x", exec_ms=1))
         )
         assert not result.cold_start
+
+    def test_clean_cycles_leave_one_volume(self, sim, engine):
+        container = boot(sim, engine)
+        first = weakref.ref(container.volume)
+
+        def cycles():
+            for _ in range(10_000):
+                yield from engine.clean_container(container)
+
+        run_process(sim, cycles())
+        assert len(engine.volumes) == 1
+        assert engine.volumes.live_volumes() == (container.volume,)
+        # The store keeps no deleted volume alive.
+        gc.collect()
+        assert first() is None
 
     def test_clean_busy_container_rejected(self, sim, engine):
         container = boot(sim, engine)

@@ -11,7 +11,7 @@ never-triggered plane changes nothing.
 import pytest
 
 from repro.containers import Container, ContainerConfig
-from repro.core import HotC, HotCConfig, runtime_key
+from repro.core import HotC, HotCConfig, PoolLimits, runtime_key
 from repro.faas import FaasPlatform
 from repro.faults import FaultPlan, FaultSpec
 from repro.health import (
@@ -310,6 +310,32 @@ class TestHotCIntegration:
             max_reuses=10_000, max_age_ms=None, residual_threshold=50.0
         )
         assert run(lenient) == run(None)
+
+    def test_retired_containers_leave_no_record(self, registry, fn_python):
+        """Capacity evictions retire containers outside the recycle path;
+        their health records must go with them."""
+        config = HotCConfig(
+            control_interval_ms=0,
+            limits=PoolLimits(max_containers=6),
+            container_health=ContainerHealthConfig(),
+        )
+        platform = FaasPlatform(
+            registry, seed=3, provider_factory=lambda e: HotC(e, config)
+        )
+        names = []
+        for key in range(24):
+            spec = fn_python.with_overrides(
+                name=f"fn-{key}", env=(("KEY", str(key)),)
+            )
+            platform.deploy(spec)
+            names.append(spec.name)
+        for i in range(400):
+            platform.submit(names[(i * 7) % len(names)], delay=i * 50.0)
+        platform.run()
+        provider = platform.provider
+        assert provider.pool.stats.evictions_capacity >= 100
+        assert 0 < len(provider.container_health._records) <= platform.engine.live_count
+        provider.check_consistency()
 
     def test_max_reuses_bounds_reuse_depth(self, registry, fn_python):
         health = ContainerHealthConfig(max_reuses=3, max_age_ms=None)
