@@ -85,28 +85,43 @@ class FunctionSpec:
             raise ValueError("deadline_ms must be > 0 (or None)")
 
     def container_config(self) -> ContainerConfig:
-        """The container runtime environment this function needs."""
-        return ContainerConfig(
-            image=self.image,
-            network=self.network,
-            uts_mode=self.uts_mode,
-            ipc_mode=self.ipc_mode,
-            env=self.env,
-            exec_options=self.exec_options,
-            cpu_millicores=self.cpu_millicores,
-            mem_mb=self.mem_mb,
-        )
+        """The container runtime environment this function needs.
+
+        Built on first use and kept on the (frozen) spec, so every
+        request of the function hands the provider the same config
+        object and reuses the runtime key memoized on it
+        (:func:`repro.core.keys.runtime_key`).
+        """
+        config = self.__dict__.get("_container_config")
+        if config is None:
+            config = ContainerConfig(
+                image=self.image,
+                network=self.network,
+                uts_mode=self.uts_mode,
+                ipc_mode=self.ipc_mode,
+                env=self.env,
+                exec_options=self.exec_options,
+                cpu_millicores=self.cpu_millicores,
+                mem_mb=self.mem_mb,
+            )
+            object.__setattr__(self, "_container_config", config)
+        return config
 
     def exec_spec(self) -> ExecSpec:
-        """The work one invocation performs inside a container."""
-        return ExecSpec(
-            app_id=self.name,
-            language=self.language,
-            exec_ms=self.exec_ms,
-            app_init_ms=self.app_init_ms,
-            write_mb=self.write_mb,
-            payload=self.payload,
-        )
+        """The work one invocation performs inside a container (built
+        once per spec, like :meth:`container_config`)."""
+        spec = self.__dict__.get("_exec_spec")
+        if spec is None:
+            spec = ExecSpec(
+                app_id=self.name,
+                language=self.language,
+                exec_ms=self.exec_ms,
+                app_init_ms=self.app_init_ms,
+                write_mb=self.write_mb,
+                payload=self.payload,
+            )
+            object.__setattr__(self, "_exec_spec", spec)
+        return spec
 
     def with_overrides(self, **changes) -> "FunctionSpec":
         """A copy with some fields replaced (convenience for sweeps)."""

@@ -56,7 +56,7 @@ _UNANSWERED = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestTrace:
     """Timestamps and metadata of one request."""
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.containers import NetworkConfig
-from repro.faas import FunctionSpec
+from repro.faas import FaasPlatform, FunctionSpec
 
 
 class TestFunctionSpec:
@@ -66,3 +66,65 @@ class TestFunctionSpec:
         a = FunctionSpec(name="fn", image="python:3.6")
         b = FunctionSpec(name="fn", image="python:3.6")
         assert a == b and hash(a) == hash(b)
+
+
+class TestRequestPlan:
+    """The config and exec spec are built once per function, not per request."""
+
+    def test_requests_share_one_config_and_exec_spec(self, registry):
+        from repro.core import HotC
+
+        seen = []
+
+        class Recording(HotC):
+            def acquire(self, config):
+                seen.append(config)
+                return (yield from super().acquire(config))
+
+        platform = FaasPlatform(
+            registry, seed=1, jitter_sigma=0.0, provider_factory=Recording
+        )
+        spec = FunctionSpec(name="fn", image="python:3.6", exec_ms=1.0)
+        platform.deploy(spec)
+        for i in range(3):
+            platform.submit("fn", delay=i * 1_000.0)
+        platform.run()
+        assert len(seen) == 3
+        assert all(config is spec.container_config() for config in seen)
+        assert spec.exec_spec() is spec.exec_spec()
+
+    def test_runtime_key_derived_once_per_function(self, registry, monkeypatch):
+        from repro.core import HotC, keys
+
+        built = []
+        real = keys.RuntimeKey
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("fields"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(keys, "RuntimeKey", counting)
+        platform = FaasPlatform(
+            registry, seed=1, jitter_sigma=0.0, provider_factory=HotC
+        )
+        for name in ("a", "b"):
+            platform.deploy(
+                FunctionSpec(name=name, image="python:3.6", env=(("F", name),))
+            )
+        for i in range(10):
+            platform.submit("ab"[i % 2], delay=i * 500.0)
+        platform.run()
+        assert platform.traces.failed_count() == 0
+        assert len(built) == 2
+
+    def test_with_overrides_builds_a_new_plan(self):
+        spec = FunctionSpec(name="fn", image="python:3.6", mem_mb=128.0)
+        config, exec_spec = spec.container_config(), spec.exec_spec()
+        bigger = spec.with_overrides(mem_mb=256.0, exec_ms=7.0)
+        assert bigger.container_config() is not config
+        assert bigger.container_config().mem_mb == 256.0
+        assert bigger.exec_spec().exec_ms == 7.0
+        assert spec.container_config() is config
+        assert spec.exec_spec() is exec_spec
+        # The kept plan is not part of the spec's value.
+        assert spec == FunctionSpec(name="fn", image="python:3.6", mem_mb=128.0)
