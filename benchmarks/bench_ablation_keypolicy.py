@@ -61,7 +61,7 @@ def test_bench_ablation_keypolicy(benchmark):
     mean = {n: p.traces.mean_latency() for n, p in platforms.items()}
     print()
     for name, platform in platforms.items():
-        partial = getattr(platform.provider, "partial_hits", 0)
+        partial = platform.provider.pool.stats.relaxed_hits
         print(
             f"  {name:<14} cold={cold[name]} partial={partial} "
             f"mean={mean[name]:.0f} ms"
@@ -71,7 +71,8 @@ def test_bench_ablation_keypolicy(benchmark):
     assert cold["full"] == N_VARIANTS
     # The fallback turns all but the first into reconfigure-reuses.
     assert cold["full+fallback"] == 1
-    assert platforms["full+fallback"].provider.partial_hits == N_VARIANTS - 1
+    fallback_stats = platforms["full+fallback"].provider.pool.stats
+    assert fallback_stats.relaxed_hits == N_VARIANTS - 1
     # Image-only collapses everything with zero reconfiguration.
     assert cold["image-only"] == 1
     # Latency ordering: image-only <= fallback < full.

@@ -62,12 +62,6 @@ class EngineStats:
     image_pulls: int = 0
     cold_execs: int = 0
     warm_execs: int = 0
-    #: Acquires served by reconfiguring a relaxed-key match (HotC
-    #: fallback path); disjoint from exact pool hits.
-    relaxed_hits: int = 0
-    #: Acquires served by re-specializing an idle donor container of a
-    #: different key (inter-key repurposing).
-    repurposes: int = 0
     stops: int = 0
     removes: int = 0
     volume_wipes: int = 0

@@ -24,7 +24,6 @@ from repro.core.cluster import (
     make_cluster_platform,
 )
 from repro.core.hotc import HotC, HotCConfig
-from repro.core.kvstore import ReplicatedKeyValueStore
 from repro.core.policies import (
     FixedKeepAliveProvider,
     HistogramKeepAliveProvider,
@@ -47,7 +46,6 @@ __all__ = [
     "ClusterStats",
     "CombinedPredictor",
     "ContainerRuntimePool",
-    "ReplicatedKeyValueStore",
     "make_cluster_engines",
     "make_cluster_platform",
     "ExponentialSmoothing",

@@ -500,10 +500,6 @@ class ClusterHotC(RuntimeProvider):
             problems.extend(host.scan_divergences())
         return problems
 
-    def on_tick(self, now: float) -> None:
-        for host in self.hosts:
-            host.on_tick(now)
-
     def start_control_loops(self) -> None:
         """Start every per-host adaptive control loop."""
         for host in self.hosts:

@@ -53,31 +53,36 @@ __all__ = ["HotC", "HotCConfig"]
 #: retryable locally; the cluster scheduler fails over instead).
 _RETRYABLE = (BootFailure, TransientEngineError)
 
+#: Minimum key-similarity score a repurpose donor must reach to be priced.
+REPURPOSE_MIN_SCORE = 0.5
+#: Extra boot attempts after a retryable boot failure.
+BOOT_RETRIES = 2
+#: Exponential backoff between boot attempts: the n-th retry waits
+#: ``BOOT_BACKOFF_BASE_MS * BOOT_BACKOFF_FACTOR**(n-1)`` ms, +/-
+#: ``BOOT_BACKOFF_JITTER`` fraction when the engine has a jitter RNG.
+BOOT_BACKOFF_BASE_MS = 50.0
+BOOT_BACKOFF_FACTOR = 2.0
+BOOT_BACKOFF_JITTER = 0.1
+
 
 @dataclass(frozen=True)
 class HotCConfig:
-    """Tunables of the middleware (defaults follow the paper)."""
+    """Tunables of the middleware (defaults follow the paper).
+
+    The predictor's own parameters (Eq. 1 smoothing, Markov states and
+    window, the q0.9 sizing target) are the defaults of
+    :class:`AdaptivePoolController`.
+    """
 
     key_policy: KeyPolicy = KeyPolicy.FULL
     limits: PoolLimits = field(default_factory=PoolLimits)
     eviction: str = "oldest"
     #: Adaptive control period; 0 disables the prediction loop.
     control_interval_ms: float = 1_000.0
-    #: Eq. 1 smoothing coefficient (paper: 0.8).
-    alpha: float = 0.8
-    #: Markov region states for the residual chain.
-    n_states: int = 4
-    #: Initial-value policy of the smoother ("auto" per the paper).
-    init: str = "auto"
     #: Use the Markov correction (False = ES only; the Fig 10a ablation).
     markov_correction: bool = True
     #: Pre-boot containers toward the forecast (False = reuse only).
     prewarm: bool = True
-    #: Pool-sizing risk level: provision for this quantile of the
-    #: predicted demand over ``target_horizon`` control intervals.
-    target_quantile: float = 0.9
-    #: Look-ahead (control intervals) for the k-step Markov forecast.
-    target_horizon: int = 4
     #: Future-work partial-key matching (Section VII): on a full-key
     #: miss, reuse an idle container whose *relaxed* key matches and
     #: apply the configuration delta.  ``None`` disables the fallback.
@@ -89,16 +94,6 @@ class HotCConfig:
     #: the container will not be missed.  Strictly opt-in: disabled
     #: runs take no extra sim events and stay bit-identical.
     repurpose: bool = False
-    #: Minimum key-similarity score a donor must reach to be priced.
-    repurpose_min_score: float = 0.5
-    #: Extra boot attempts after a retryable boot failure (0 = one shot).
-    boot_retries: int = 2
-    #: Exponential backoff between boot attempts: the n-th retry waits
-    #: ``base * factor**(n-1)`` ms, +/- ``jitter`` fraction when the
-    #: engine has a jitter RNG.
-    boot_backoff_base_ms: float = 50.0
-    boot_backoff_factor: float = 2.0
-    boot_backoff_jitter: float = 0.1
     #: Boot deadline; when a boot exceeds it, one hedged fallback boot
     #: races the straggler (first to finish wins, the loser is pooled).
     #: ``None`` disables hedging and keeps the boot inline.
@@ -108,10 +103,6 @@ class HotCConfig:
     #: elapses; a half-open probe then decides.  <= 0 disables it.
     breaker_threshold: int = 3
     breaker_cooldown_ms: float = 5_000.0
-    #: Sliding-window length of each key's residual Markov chain; a
-    #: long-running gateway must not grow predictor state without bound.
-    #: ``None`` keeps every residual (the pre-window batch behaviour).
-    markov_window: Optional[int] = 512
     #: Container aging & self-healing (DESIGN.md §14): a per-container
     #: health plane scores exec outcomes, latency residuals and RSS
     #: trajectory, quarantines contaminated containers, and proactively
@@ -125,22 +116,10 @@ class HotCConfig:
             raise ValueError(
                 "fallback_key_policy must differ from key_policy"
             )
-        if not 0.0 <= self.repurpose_min_score <= 1.0:
-            raise ValueError("repurpose_min_score must be in [0, 1]")
-        if self.boot_retries < 0:
-            raise ValueError("boot_retries must be >= 0")
-        if self.boot_backoff_base_ms < 0:
-            raise ValueError("boot_backoff_base_ms must be >= 0")
-        if self.boot_backoff_factor < 1.0:
-            raise ValueError("boot_backoff_factor must be >= 1")
-        if not 0.0 <= self.boot_backoff_jitter < 1.0:
-            raise ValueError("boot_backoff_jitter must be in [0, 1)")
         if self.boot_timeout_ms is not None and self.boot_timeout_ms <= 0:
             raise ValueError("boot_timeout_ms must be > 0 (or None)")
         if self.breaker_cooldown_ms <= 0:
             raise ValueError("breaker_cooldown_ms must be > 0")
-        if self.markov_window is not None and self.markov_window < 2:
-            raise ValueError("markov_window must be >= 2 (or None)")
 
     @property
     def _min_history(self) -> int:
@@ -150,24 +129,12 @@ class HotCConfig:
     def make_predictor(self) -> CombinedPredictor:
         """A fresh single-key predictor configured per this config (the
         executable spec of one :meth:`make_controller` row)."""
-        return CombinedPredictor(
-            alpha=self.alpha,
-            n_states=self.n_states,
-            init=self.init,
-            min_history=self._min_history,
-            markov_window=self.markov_window,
-        )
+        return CombinedPredictor(min_history=self._min_history)
 
     def make_controller(self) -> AdaptivePoolController:
         """A fresh per-host predictor bank configured per this config."""
         return AdaptivePoolController(
-            alpha=self.alpha,
-            n_states=self.n_states,
-            init=self.init,
             min_history=self._min_history,
-            markov_window=self.markov_window,
-            quantile=self.target_quantile,
-            horizon=self.target_horizon,
             max_target=self.limits.max_containers,
         )
 
@@ -203,8 +170,6 @@ class HotC(RuntimeProvider):
         self.pool.on_key_empty = self._forget_key
         #: Partial-key matching: relaxed key -> full keys seen under it.
         self._relaxed_index: Dict[RuntimeKey, set] = {}
-        #: Reuses served through the relaxed fallback (stats).
-        self.partial_hits = 0
         #: Inter-key repurposing: similarity model + cached per-key
         #: cold-boot estimates.  ``None`` unless opted in, so disabled
         #: runs never construct (or consult) the model.
@@ -214,9 +179,6 @@ class HotC(RuntimeProvider):
             else None
         )
         self._cold_estimates: Dict[RuntimeKey, float] = {}
-        #: Optional replicated metadata store (future work); when set,
-        #: acquire journals the pool transition before returning.
-        self.metadata_store = None
         #: Optional observatory; ``None`` keeps every hook inert.
         self.obs = None
         #: Optional admission controller; ``None`` keeps overload
@@ -263,15 +225,6 @@ class HotC(RuntimeProvider):
     def key_of(self, config: ContainerConfig) -> RuntimeKey:
         """Parameter analysis: config → runtime key."""
         return runtime_key(config, self.config.key_policy)
-
-    def attach_metadata_store(self, store) -> None:
-        """Journal pool transitions to a replicated KV store.
-
-        Puts one quorum write on the acquire path (durability at the
-        price of the store's round trip) — the reliability extension of
-        Section VII.
-        """
-        self.metadata_store = store
 
     def attach_observatory(self, observatory) -> None:
         """Wire the telemetry layer through this host (``None`` detaches).
@@ -355,8 +308,6 @@ class HotC(RuntimeProvider):
                     container = yield from self._acquire_repurpose(key, config)
             if container is not None:
                 container.leased = True
-                if self.metadata_store is not None:
-                    yield from self._journal(key, container, "busy")
                 return container, False
 
             breaker = self._breaker_for(key)
@@ -368,8 +319,6 @@ class HotC(RuntimeProvider):
             container = yield from self._boot_with_retry(key, config, breaker)
             self.pool.register(container, key, now=self.sim.now, available=False)
             container.leased = True
-            if self.metadata_store is not None:
-                yield from self._journal(key, container, "busy")
             return container, True
         except BaseException:
             # Roll back the demand bump: a failed acquire must not keep
@@ -477,8 +426,6 @@ class HotC(RuntimeProvider):
                 self.cleanup.discard_dead(container, reuse="relaxed")
                 continue
             self._adopt_donor(container, key, config, "relaxed", respec_ms)
-            self.partial_hits += 1
-            self.engine.stats.relaxed_hits += 1
             return container
         return None
 
@@ -535,7 +482,7 @@ class HotC(RuntimeProvider):
             if donor_config is None:
                 continue
             score = model.score(donor_config, config)
-            if score < self.config.repurpose_min_score:
+            if score < REPURPOSE_MIN_SCORE:
                 continue
             cost = model.respec_cost_ms(score, estimate)
             if cost is None:
@@ -586,7 +533,6 @@ class HotC(RuntimeProvider):
                         continue
                     cost += sanitize_ms
             self._adopt_donor(container, key, config, "repurpose", cost)
-            self.engine.stats.repurposes += 1
             if self.obs is not None:
                 self.obs.emit(
                     EventKind.REPURPOSE,
@@ -605,13 +551,6 @@ class HotC(RuntimeProvider):
                 ).inc()
             return container
         return None
-
-    def _journal(self, key: RuntimeKey, container: Container, state: str) -> Generator:
-        if self.metadata_store is None:
-            return
-        yield from self.metadata_store.put(
-            (str(key), container.container_id), state
-        )
 
     # -- failure-hardened boot path --------------------------------------------
     def _breaker_for(self, key: RuntimeKey) -> CircuitBreaker:
@@ -667,13 +606,10 @@ class HotC(RuntimeProvider):
 
     def _backoff_ms(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based), with jitter."""
-        delay = self.config.boot_backoff_base_ms * (
-            self.config.boot_backoff_factor ** (attempt - 1)
-        )
+        delay = BOOT_BACKOFF_BASE_MS * BOOT_BACKOFF_FACTOR ** (attempt - 1)
         rng = self.engine.latency.rng
-        if rng is not None and self.config.boot_backoff_jitter > 0:
-            spread = self.config.boot_backoff_jitter
-            delay *= 1.0 + spread * (2.0 * float(rng.random()) - 1.0)
+        if rng is not None:
+            delay *= 1.0 + BOOT_BACKOFF_JITTER * (2.0 * float(rng.random()) - 1.0)
         return delay
 
     def _boot_with_retry(
@@ -692,7 +628,7 @@ class HotC(RuntimeProvider):
                 if breaker.record_failure(self.sim.now):
                     self.engine.stats.breaker_opens += 1
                 attempt += 1
-                if attempt > self.config.boot_retries or not breaker.allow(
+                if attempt > BOOT_RETRIES or not breaker.allow(
                     self.sim.now
                 ):
                     raise
@@ -702,9 +638,7 @@ class HotC(RuntimeProvider):
                 breaker.record_success()
                 return container
 
-    def _boot_once(
-        self, key: RuntimeKey, config: ContainerConfig, warm_runtime: bool = False
-    ) -> Generator:
+    def _boot_once(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
         """Process: one capacity-guarded boot attempt.
 
         The boot counts against the cap while in flight so concurrent
@@ -714,9 +648,7 @@ class HotC(RuntimeProvider):
         self._note_pending(key, +1)
         try:
             yield from self._make_room()
-            container = yield from self.engine.boot_container(
-                config, warm_runtime=warm_runtime
-            )
+            container = yield from self.engine.boot_container(config)
         finally:
             self._note_pending(key, -1)
         return container
@@ -822,8 +754,6 @@ class HotC(RuntimeProvider):
                 yield from self._drain_recycle_queue()
                 return
         yield from self.cleanup.clean_and_recycle(container)
-        if self.metadata_store is not None:
-            yield from self._journal(key, container, "available")
         # Post-release pressure check: the paper terminates the oldest
         # live container when memory crosses the threshold.  (Guarded
         # here so the no-pressure common case costs no generator.)
@@ -977,7 +907,6 @@ class HotC(RuntimeProvider):
                 key: copy.deepcopy(breaker)
                 for key, breaker in self._breakers.items()
             },
-            partial_hits=self.partial_hits,
         )
 
     def snapshot_state(self):
@@ -1040,7 +969,6 @@ class HotC(RuntimeProvider):
                 key: copy.deepcopy(breaker)
                 for key, breaker in checkpoint.breakers.items()
             }
-            self.partial_hits = max(self.partial_hits, checkpoint.partial_hits)
         seen = set()
         for container in self.engine.live_containers():
             cid = container.container_id
@@ -1230,10 +1158,6 @@ class HotC(RuntimeProvider):
         self._busy[key] = max(0, busy)
         if busy > self._peak.get(key, 0):
             self._peak[key] = busy
-
-    def demand_peak(self, key: RuntimeKey) -> int:
-        """Peak concurrent demand for ``key`` in the current interval."""
-        return self._peak.get(key, 0)
 
     # -- capacity guards ---------------------------------------------------------
     def _note_pending(self, key: RuntimeKey, delta: int) -> None:
@@ -1552,14 +1476,3 @@ class HotC(RuntimeProvider):
             breaker.record_success()
 
         self.sim.process(_boot(), name=f"prewarm:{key}")
-
-    # -- ScalablePool protocol (drives the autoscaler ablation) ---------------
-    def warm_count(self, key: RuntimeKey) -> int:
-        """Idle pooled containers of ``key``."""
-        return self.pool.num_available(key)
-
-    def scale_to(self, key: RuntimeKey, target: int) -> Generator:
-        """Process: resize ``key`` toward ``target`` synchronously."""
-        self._resize_key(key, target)
-        return
-        yield  # pragma: no cover - generator marker

@@ -118,10 +118,6 @@ class _IdlePoolProvider(RuntimeProvider):
     def _note_release(self, key: RuntimeKey) -> None:
         """Called after a container returns to the idle list."""
 
-    def warm_count(self, key: RuntimeKey) -> int:
-        """Idle containers currently held for ``key``."""
-        return len(self._idle.get(key, ()))
-
 
 class FixedKeepAliveProvider(_IdlePoolProvider):
     """Fixed keep-alive window for every key (AWS-style).

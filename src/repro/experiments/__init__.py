@@ -3,7 +3,7 @@
 Every ``run_figXX`` function is deterministic given its ``seed`` and
 returns a :class:`repro.metrics.Figure` carrying the same series/rows
 the paper's figure plots, plus paper-vs-measured notes.  The benchmark
-harness (``benchmarks/``) and ``python -m repro.experiments`` both call
+harness (``benchmarks/``) and ``python -m repro experiments`` both call
 these entry points.
 """
 

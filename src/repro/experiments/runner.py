@@ -1,8 +1,8 @@
 """Run all (or selected) figure reproductions, serially or in parallel.
 
-``python -m repro.experiments`` prints every figure;
-``python -m repro.experiments fig08 fig10`` a selection;
-``python -m repro.experiments --jobs 8`` fans the figures out over
+``python -m repro experiments`` prints every figure;
+``python -m repro experiments fig08 fig10`` a selection;
+``python -m repro experiments --jobs 8`` fans the figures out over
 worker processes and prints byte-identical output.
 
 Parallel design

@@ -21,14 +21,12 @@ from repro.faas.platform import (
 )
 from repro.faas.gateway import Gateway
 from repro.faas.watchdog import Watchdog
-from repro.faas.autoscaler import ReactiveAutoscaler
 
 __all__ = [
     "ColdBootProvider",
     "FaasPlatform",
     "FunctionSpec",
     "Gateway",
-    "ReactiveAutoscaler",
     "RequestOutcome",
     "RequestTrace",
     "RuntimeProvider",

@@ -54,9 +54,6 @@ class RuntimeProvider(abc.ABC):
         The default is a no-op for providers without such bookkeeping.
         """
 
-    def on_tick(self, now: float) -> None:
-        """Optional periodic hook (pool maintenance, prediction)."""
-
     def shutdown(self) -> Generator:
         """Process: stop everything the provider still holds."""
         return

@@ -288,8 +288,6 @@ def reuse_table(
         rows.append(("engine", "boots", total(engine_stats, "boots")))
         rows.append(("engine", "cold_execs", total(engine_stats, "cold_execs")))
         rows.append(("engine", "warm_execs", total(engine_stats, "warm_execs")))
-        rows.append(("engine", "relaxed_hits", total(engine_stats, "relaxed_hits")))
-        rows.append(("engine", "repurposes", total(engine_stats, "repurposes")))
     if cluster_stats is not None:
         rows.append(
             ("cluster", "reuse_routed", int(getattr(cluster_stats, "reuse_routed", 0)))

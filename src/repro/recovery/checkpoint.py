@@ -54,8 +54,6 @@ class HostCheckpoint:
     controller: object
     #: Deep copies of the per-key circuit breakers.
     breakers: Dict[object, object]
-    #: Relaxed-fallback reuse count (a stat the sweep cannot rebuild).
-    partial_hits: int = 0
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,6 @@ class TestMarkovWindowPlumbing:
     def test_hotc_config_plumbs_window(self):
         from repro.core.hotc import HotCConfig
 
-        predictor = HotCConfig(markov_window=32).make_predictor()
-        assert predictor.residual_chain.window == 32
-        with pytest.raises(ValueError):
-            HotCConfig(markov_window=1)
+        config = HotCConfig()
+        assert config.make_predictor().residual_chain.window == 512
+        assert config.make_controller().window == 512

@@ -105,7 +105,7 @@ class TestHotCResilience:
         platform.run()
         # Fallback found only a corpse: a clean cold boot instead.
         assert platform.traces.cold_count() == 2
-        assert platform.provider.partial_hits == 0
+        assert platform.provider.pool.stats.relaxed_hits == 0
 
 
 class TestKeepAliveResilience:

@@ -169,7 +169,7 @@ class TestAdaptiveControl:
         assert provider.pool.num_total(key) >= 3
 
     def test_scale_down_retires_idle(self, registry, fn_python):
-        config = HotCConfig(control_interval_ms=0, alpha=0.9, init="first")
+        config = HotCConfig(control_interval_ms=0)
         platform = make_platform(registry, config)
         platform.deploy(fn_python)
         provider = platform.provider
@@ -343,7 +343,7 @@ class TestDeadDiscardStats:
 class TestHotCConfig:
     def test_default_matches_paper(self):
         config = HotCConfig()
-        assert config.alpha == 0.8
+        assert config.make_controller().alpha == 0.8
         assert config.limits.max_containers == 500
         assert config.limits.memory_threshold == 0.8
         assert config.eviction == "oldest"

@@ -52,7 +52,7 @@ class TestPartialReuse:
         platform.run()
         # fn-b found no exact match but reused fn-a's container.
         assert platform.traces.cold_count() == 1
-        assert platform.provider.partial_hits == 1
+        assert platform.provider.pool.stats.relaxed_hits == 1
         assert platform.engine.stats.boots == 1
 
     def test_partial_hit_far_cheaper_than_cold(self, registry):
@@ -96,7 +96,7 @@ class TestPartialReuse:
         platform.submit("go")
         platform.run()
         assert platform.traces.cold_count() == 2
-        assert platform.provider.partial_hits == 0
+        assert platform.provider.pool.stats.relaxed_hits == 0
 
     def test_different_resources_not_matched_by_relaxed(self, registry):
         """RELAXED keeps resource limits: a bigger function misses."""
@@ -123,7 +123,7 @@ class TestPartialReuse:
         provider = platform.provider
         # The third request must take fn-a's own container, not rekey
         # fn-b's: no partial hit recorded.
-        assert provider.partial_hits == 0
+        assert provider.pool.stats.relaxed_hits == 0
 
     def test_relaxed_index_pruned_when_key_retired(self, registry):
         """Regression: the relaxed index must not grow without bound —
@@ -150,7 +150,7 @@ class TestPartialReuse:
         platform2.run()
         platform2.submit("fn-b")
         platform2.run()
-        assert platform2.provider.partial_hits == 1
+        assert platform2.provider.pool.stats.relaxed_hits == 1
 
     def test_disabled_fallback_misses(self, registry):
         platform = make_platform(registry, fallback=None)

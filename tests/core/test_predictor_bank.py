@@ -3,18 +3,58 @@
 :class:`AdaptivePoolController` keeps every key's ES + Markov state in
 one structure-of-arrays bank and advances all keys in one batched
 ``observe``.  :class:`CombinedPredictor` is its executable spec: one
-instance per key, built from the same :class:`HotCConfig`, must give
-the same forecast, targets and donor headroom — compared with ``==``,
-no tolerance — after every tick of a long random stream.
+instance per key, built from the same parameters, must give the same
+forecast, targets and donor headroom — compared with ``==``, no
+tolerance — after every tick of a long random stream.
 """
 
 import math
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
-from repro.core import AdaptivePoolController, PoolLimits
-from repro.core.hotc import HotCConfig
+from repro.core import AdaptivePoolController, CombinedPredictor
+
+#: ``min_history`` that keeps the Markov correction from ever engaging
+#: (what ``HotCConfig(markov_correction=False)`` passes).
+ES_ONLY = 10**9
+
+
+@dataclass(frozen=True)
+class _Params:
+    """One predictor configuration; the defaults are the controller's."""
+
+    alpha: float = 0.8
+    n_states: int = 4
+    init: str = "auto"
+    min_history: int = 6
+    markov_window: Optional[int] = 512
+    quantile: float = 0.9
+    horizon: int = 4
+    max_target: int = 500
+
+    def controller(self) -> AdaptivePoolController:
+        return AdaptivePoolController(
+            alpha=self.alpha,
+            n_states=self.n_states,
+            init=self.init,
+            min_history=self.min_history,
+            markov_window=self.markov_window,
+            quantile=self.quantile,
+            horizon=self.horizon,
+            max_target=self.max_target,
+        )
+
+    def predictor(self) -> CombinedPredictor:
+        return CombinedPredictor(
+            alpha=self.alpha,
+            n_states=self.n_states,
+            init=self.init,
+            min_history=self.min_history,
+            markov_window=self.markov_window,
+        )
 
 
 def _clamped(value, max_target):
@@ -25,8 +65,8 @@ def _clamped(value, max_target):
 class _Oracle:
     """One spec predictor per key plus its expected outputs."""
 
-    def __init__(self, config: HotCConfig) -> None:
-        self.config = config
+    def __init__(self, params: _Params) -> None:
+        self.params = params
         self.predictors = {}
         #: key -> (forecast, target, target_upper) after its last update.
         self.expected = {}
@@ -34,13 +74,12 @@ class _Oracle:
     def update(self, key, demand):
         predictor = self.predictors.get(key)
         if predictor is None:
-            predictor = self.predictors[key] = self.config.make_predictor()
+            predictor = self.predictors[key] = self.params.predictor()
         forecast = predictor.update(float(demand))
         upper = predictor.forecast_upper(
-            quantile=self.config.target_quantile,
-            horizon=self.config.target_horizon,
+            quantile=self.params.quantile, horizon=self.params.horizon
         )
-        cap = self.config.limits.max_containers
+        cap = self.params.max_target
         self.expected[key] = (forecast, _clamped(forecast, cap), _clamped(upper, cap))
         return forecast
 
@@ -79,11 +118,11 @@ def _demand_stream(rng: random.Random, ticks: int, n_keys: int, presence: float)
 
 
 def _drive(
-    config: HotCConfig, ticks: int, n_keys: int, seed: int, presence: float = 0.9
+    params: _Params, ticks: int, n_keys: int, seed: int, presence: float = 0.9
 ) -> None:
     rng = random.Random(seed)
-    bank = config.make_controller()
-    oracle = _Oracle(config)
+    bank = params.controller()
+    oracle = _Oracle(params)
     for tick, batch in enumerate(_demand_stream(rng, ticks, n_keys, presence)):
         forecasts = bank.observe(
             [key for key, _ in batch], [demand for _, demand in batch]
@@ -105,39 +144,41 @@ def _drive(
 @pytest.mark.parametrize("init", ["auto", "first", "mean5"])
 @pytest.mark.parametrize("markov_window", [None, 8, 512])
 def test_bank_matches_spec_across_configs(markov_window, init, markov_correction):
-    config = HotCConfig(
-        markov_window=markov_window, init=init, markov_correction=markov_correction
+    params = _Params(
+        markov_window=markov_window,
+        init=init,
+        min_history=6 if markov_correction else ES_ONLY,
     )
     seed = len(init) * 1000 + (markov_window or 0) + markov_correction
-    _drive(config, ticks=250, n_keys=5, seed=seed)
+    _drive(params, ticks=250, n_keys=5, seed=seed)
 
 
 def test_bank_matches_spec_over_ten_thousand_ticks():
     """Long enough for the default 512 window to evict and rebuild
     (every key is observed ~3,000 times)."""
-    _drive(HotCConfig(), ticks=10_000, n_keys=5, seed=11, presence=0.3)
+    _drive(_Params(), ticks=10_000, n_keys=5, seed=11, presence=0.3)
 
 
 @pytest.mark.parametrize(
     "quantile, horizon, n_states", [(0.5, 1, 4), (0.99, 6, 3), (1.0, 2, 6)]
 )
 def test_bank_matches_spec_at_other_risk_levels(quantile, horizon, n_states):
-    config = HotCConfig(
-        target_quantile=quantile,
-        target_horizon=horizon,
+    params = _Params(
+        quantile=quantile,
+        horizon=horizon,
         n_states=n_states,
         markov_window=16,
-        limits=PoolLimits(max_containers=20),
+        max_target=20,
     )
-    _drive(config, ticks=300, n_keys=5, seed=horizon)
+    _drive(params, ticks=300, n_keys=5, seed=horizon)
 
 
 def test_histories_match_spec_series():
     """Below the window the histories are the whole series."""
-    config = HotCConfig(markov_window=64)
+    params = _Params(markov_window=64)
     rng = random.Random(5)
-    bank = config.make_controller()
-    spec = config.make_predictor()
+    bank = params.controller()
+    spec = params.predictor()
     demands, forecasts = [], []
     for _ in range(50):
         demand = rng.randrange(10)

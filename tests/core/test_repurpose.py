@@ -69,12 +69,6 @@ class TestConfigValidation:
     def test_disabled_by_default(self):
         assert HotCConfig().repurpose is False
 
-    def test_min_score_bounds(self):
-        with pytest.raises(ValueError, match="repurpose_min_score"):
-            HotCConfig(repurpose_min_score=-0.1)
-        with pytest.raises(ValueError, match="repurpose_min_score"):
-            HotCConfig(repurpose_min_score=1.01)
-
     def test_similarity_model_only_built_when_opted_in(self):
         off = make_platform(sibling_registry(), repurpose=False)
         on = make_platform(sibling_registry(), repurpose=True)
@@ -175,7 +169,6 @@ class TestRepurpose:
         stats = platform.provider.pool.stats
         assert stats.repurposed == 1
         assert stats.cold_starts_eliminated == 1
-        assert platform.engine.stats.repurposes == 1
         assert platform.engine.stats.boots == 1
 
     def test_disabled_run_cold_boots_twice(self):

@@ -233,6 +233,9 @@ class TestRepurposeChaos:
         repurposed = sum(h.pool.stats.repurposed for h in cluster.hosts)
         relaxed = sum(h.pool.stats.relaxed_hits for h in cluster.hosts)
         assert repurposed > 0, "the repurpose path never engaged"
+        # The cluster's routing copy agrees with the per-host pool counts.
+        assert cluster.stats.repurposes == repurposed
+        assert cluster.stats.relaxed_hits == relaxed
         # The counters the drain race could corrupt stayed sane.
         for host in cluster.hosts:
             stats = host.pool.stats

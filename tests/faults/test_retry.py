@@ -3,6 +3,7 @@
 
 from repro.containers import ContainerError
 from repro.core import HotC, HotCConfig, PoolLimits
+from repro.core.hotc import BOOT_BACKOFF_BASE_MS, BOOT_BACKOFF_JITTER
 from repro.faas import FaasPlatform, RequestOutcome
 from repro.faults import FaultInjector
 
@@ -47,15 +48,10 @@ class TestBootRetry:
         assert platform.engine.stats.boot_retries == 2
 
     def test_backoff_delays_the_retry(self, registry, fn_python):
-        config = HotCConfig(
-            control_interval_ms=0,
-            boot_backoff_base_ms=500.0,
-            boot_backoff_jitter=0.0,
-        )
-        platform, injector = make_platform(registry, config)
+        platform, injector = make_platform(registry)
         platform.deploy(fn_python)
 
-        baseline_platform, _ = make_platform(registry, config)
+        baseline_platform, _ = make_platform(registry)
         baseline_platform.deploy(fn_python)
         baseline_platform.submit(fn_python.name)
         baseline_platform.run()
@@ -65,12 +61,11 @@ class TestBootRetry:
         platform.submit(fn_python.name)
         platform.run()
         retried = platform.traces.traces[0].total_latency
-        assert retried >= baseline + 500.0
+        # The first retry waits the base backoff, less at most the jitter.
+        assert retried >= baseline + BOOT_BACKOFF_BASE_MS * (1 - BOOT_BACKOFF_JITTER)
 
     def test_retries_exhausted_fails_the_request(self, registry, fn_python):
-        config = HotCConfig(
-            control_interval_ms=0, boot_retries=1, breaker_threshold=0
-        )
+        config = HotCConfig(control_interval_ms=0, breaker_threshold=0)
         platform, injector = make_platform(registry, config, request_retries=0)
         platform.deploy(fn_python)
         injector.fail_next_boots(10)
@@ -80,8 +75,8 @@ class TestBootRetry:
         assert trace.outcome is RequestOutcome.FAILED
         assert "BootFailure" in trace.error
         assert platform.engine.stats.requests_failed == 1
-        # 1 original + 1 provider retry, then the watchdog gave up.
-        assert platform.engine.stats.boot_failures == 2
+        # 1 original + 2 provider retries, then the watchdog gave up.
+        assert platform.engine.stats.boot_failures == 3
 
 
 class TestBusyAccounting:
@@ -96,7 +91,7 @@ class TestBusyAccounting:
             seed=0,
             jitter_sigma=0.0,
             provider_factory=lambda e: HotC(
-                e, HotCConfig(control_interval_ms=0, boot_retries=0)
+                e, HotCConfig(control_interval_ms=0)
             ),
         )
         platform.deploy(fn_python)
@@ -168,7 +163,6 @@ class TestBreakerIntegration:
     def _config(self):
         return HotCConfig(
             control_interval_ms=0,
-            boot_retries=0,
             breaker_threshold=2,
             breaker_cooldown_ms=10_000.0,
         )
@@ -184,8 +178,9 @@ class TestBreakerIntegration:
         platform.run(until=60_000.0)
         stats = platform.engine.stats
         assert stats.breaker_opens == 1
-        # The third request was refused without touching the engine.
-        assert stats.breaker_fastfails == 1
+        # The first request's retry opened the breaker; the other two
+        # were refused without touching the engine.
+        assert stats.breaker_fastfails == 2
         assert stats.boot_failures == 2
         assert platform.traces.failed_count() == 3
 
@@ -207,7 +202,9 @@ class TestBreakerIntegration:
         outcomes = platform.traces.outcome_counts()
         assert outcomes.get("failed") == 2
         assert outcomes.get("success") == 2
-        assert platform.engine.stats.breaker_fastfails == 0
+        # The first request's retry opened the breaker, so the second
+        # was refused; the probe and the last request were not.
+        assert platform.engine.stats.breaker_fastfails == 1
 
     def test_open_breaker_pauses_prewarm(self, registry, fn_python):
         platform, injector = make_platform(registry, self._config())
