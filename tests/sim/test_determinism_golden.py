@@ -47,6 +47,9 @@ class TestGoldenEventOrder:
     def test_gateway_request_path_matches_golden(self):
         check_golden("gateway", scenarios.scenario_gateway())
 
+    def test_hotc_paths_match_golden(self):
+        check_golden("hotc_paths", scenarios.scenario_hotc_paths())
+
 
 class TestEngineSelfConsistency:
     """Invariants that hold regardless of golden freshness."""
