@@ -52,7 +52,7 @@ class EngineStats:
 
     The failure block counts *observed* errors and recovery actions:
     ``boot_failures``/``transient_errors``/``exec_crashes`` are faults
-    the engine actually surfaced; ``boot_retries``, ``hedged_boots``,
+    the engine actually surfaced; ``boot_retries``,
     ``breaker_opens``/``breaker_fastfails`` and ``request_retries``/
     ``requests_failed`` are bumped by the middleware and watchdog as
     they recover (or give up).  All stay 0 in fault-free runs.
@@ -73,7 +73,6 @@ class EngineStats:
     #: dirty by an earlier run (STATE_POISON degradation).
     poison_failures: int = 0
     boot_retries: int = 0
-    hedged_boots: int = 0
     breaker_opens: int = 0
     breaker_fastfails: int = 0
     request_retries: int = 0

@@ -12,8 +12,8 @@ outages.  This package injects all of those deterministically:
   surface :class:`~repro.containers.engine.ContainerEngine` consults on
   every boot and execution.
 * :mod:`~repro.faults.errors` — the failure taxonomy consumers
-  recover from (retry + backoff, hedged boot, circuit breaker, cluster
-  failover, bounded request retries).
+  recover from (retry + backoff, circuit breaker, cluster failover,
+  bounded request retries).
 """
 
 from repro.faults.errors import (

@@ -1,6 +1,6 @@
 """Memory-pressure eviction ordering and the brownout state machine.
 
-``_relieve_pressure`` must follow the paper's rule — "the oldest live
+Post-release pressure eviction must follow the paper's rule — "the oldest live
 container is forcibly terminated" — no matter in which order requests
 released their containers; the brownout mode wrapped around it must
 enter exactly at the memory threshold and exit only below the
@@ -12,7 +12,7 @@ import pytest
 from repro.admission import AdmissionConfig, AdmissionController
 from repro.core import HotC, HotCConfig, PoolLimits
 from repro.faas import FaasPlatform
-from repro.obs import EventKind, Observatory
+from repro.obs import Observatory
 from repro.sim.resources import HostResources
 
 
@@ -69,7 +69,9 @@ class TestRelievePressureOrdering:
             "memory_pressure",
             lambda self, threshold=0.8: len(retired) < 2,
         )
-        platform.sim.process(hotc._relieve_pressure(), name="relieve")
+        platform.sim.process(
+            hotc._evict(hotc._under_pressure, "pressure"), name="relieve"
+        )
         platform.run()
         # Oldest (age 50) first, then age 120; the newest survives.
         assert retired == [
@@ -89,7 +91,9 @@ class TestRelievePressureOrdering:
         monkeypatch.setattr(
             HostResources, "memory_pressure", lambda self, threshold=0.8: True
         )
-        platform.sim.process(hotc._relieve_pressure(), name="relieve")
+        platform.sim.process(
+            hotc._evict(hotc._under_pressure, "pressure"), name="relieve"
+        )
         platform.run()
         # The single idle container went; with no candidate left the
         # loop must terminate rather than spin forever.
@@ -163,7 +167,7 @@ class TestHotCBrownout:
         spec = platform.function("py-fn")
         config = spec.container_config()
         key = hotc.key_of(config)
-        hotc._config_for_key[key] = config
+        hotc._learn(key, config)
 
         frac.value = 0.9
         hotc._update_brownout()
@@ -199,13 +203,13 @@ class TestHotCBrownout:
         # Stable demand history so the target is predictable and > 1.
         spec = platform.function("py-fn")
         key = hotc.key_of(spec.container_config())
-        hotc._config_for_key[key] = spec.container_config()
+        hotc._learn(key, spec.container_config())
         for _ in range(8):
-            hotc._peak[key] = 8
+            hotc._keys[key].peak = 8
             hotc.control_tick()
         healthy = targets[-1]
         assert healthy >= 2
         hotc._brownout.active = True
-        hotc._peak[key] = 8
+        hotc._keys[key].peak = 8
         hotc.control_tick()
         assert targets[-1] == int(healthy * 0.5)

@@ -5,7 +5,7 @@ drives a seeded Poisson workload through a platform while a randomized
 :class:`~repro.faults.FaultPlan` kills boots, executions, pooled
 containers and whole hosts, then asserts the global invariants:
 
-* no demand-accounting (``_busy``) or pending-boot leak,
+* no demand-accounting (per-key busy count) or pending-boot leak,
 * ``total_live`` never exceeds ``max_containers`` (+ in-flight boots),
 * pool counters always match ground truth (``check_consistency``),
 * no dead container is ever handed to a request,
@@ -28,8 +28,6 @@ def hotc_config():
     return HotCConfig(
         control_interval_ms=1_000.0,
         limits=PoolLimits(max_containers=12),
-        boot_timeout_ms=5_000.0,
-        breaker_cooldown_ms=3_000.0,
     )
 
 
@@ -85,8 +83,8 @@ def assert_quiescent(platform, hosts, provider=None):
         provider.check_consistency()
     for host in hosts:
         host.pool.check_consistency()
-        assert all(v == 0 for v in host._busy.values()), (
-            f"{host.engine.name}: busy leak {host._busy}"
+        assert all(s.busy == 0 for s in host._keys.values()), (
+            f"{host.engine.name}: busy leak"
         )
         assert host._pending_boots == {}, (
             f"{host.engine.name}: pending-boot leak {host._pending_boots}"

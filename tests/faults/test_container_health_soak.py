@@ -34,8 +34,6 @@ def hotc_config():
     return HotCConfig(
         control_interval_ms=1_000.0,
         limits=PoolLimits(max_containers=12),
-        boot_timeout_ms=5_000.0,
-        breaker_cooldown_ms=3_000.0,
         container_health=ContainerHealthConfig(
             max_reuses=10,
             max_age_ms=45_000.0,
@@ -189,7 +187,7 @@ class TestContainerHealthSoak:
         assert len(platform.traces) == 250
         assert platform.traces.all_terminal()
         provider.check_consistency()
-        assert all(v == 0 for v in provider._busy.values())
+        assert all(s.busy == 0 for s in provider._keys.values())
         assert provider._recycle_queue == []
         assert platform.engine.live_count == 0
 

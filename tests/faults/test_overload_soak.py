@@ -45,8 +45,6 @@ def hotc_config():
     return HotCConfig(
         control_interval_ms=TICK_MS,
         limits=PoolLimits(max_containers=24),
-        boot_timeout_ms=5_000.0,
-        breaker_cooldown_ms=3_000.0,
     )
 
 

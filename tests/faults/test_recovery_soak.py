@@ -36,8 +36,6 @@ def hotc_config():
     return HotCConfig(
         control_interval_ms=1_000.0,
         limits=PoolLimits(max_containers=12),
-        boot_timeout_ms=5_000.0,
-        breaker_cooldown_ms=3_000.0,
     )
 
 
@@ -172,8 +170,8 @@ class TestRecoverySoak:
         assert sum(cluster._inflight.values()) == 0
         assert cluster._by_container == {}
         for host in cluster.hosts:
-            assert all(v == 0 for v in host._busy.values()), (
-                f"{host.engine.name}: busy leak {host._busy}"
+            assert all(s.busy == 0 for s in host._keys.values()), (
+                f"{host.engine.name}: busy leak"
             )
             assert host._pending_boots == {}, (
                 f"{host.engine.name}: pending-boot leak"

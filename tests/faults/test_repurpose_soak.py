@@ -61,8 +61,6 @@ def hotc_config():
     return HotCConfig(
         control_interval_ms=1_000.0,
         limits=PoolLimits(max_containers=12),
-        boot_timeout_ms=5_000.0,
-        breaker_cooldown_ms=3_000.0,
         fallback_key_policy=KeyPolicy.RELAXED,
         prewarm=False,
         repurpose=True,
@@ -176,8 +174,8 @@ def spawn_invariant_monitor(platform, hosts, interval_ms=500.0, provider=None):
 def assert_quiescent(platform, hosts):
     for host in hosts:
         host.pool.check_consistency()
-        assert all(v == 0 for v in host._busy.values()), (
-            f"{host.engine.name}: busy leak {host._busy}"
+        assert all(s.busy == 0 for s in host._keys.values()), (
+            f"{host.engine.name}: busy leak"
         )
         assert host._pending_boots == {}, (
             f"{host.engine.name}: pending-boot leak {host._pending_boots}"

@@ -153,7 +153,7 @@ class TestRecover:
         host = platform.provider
         assert checkpoint.hosts[0].controller is not host.controller
         for breaker in checkpoint.hosts[0].breakers.values():
-            assert breaker not in host._breakers.values()
+            assert all(s.breaker is not breaker for s in host._keys.values())
 
 
 class TestTickCadence:
