@@ -22,7 +22,6 @@ from repro.metrics.report import (
     Figure,
     Series,
     Table,
-    failure_table,
     format_table,
     reuse_table,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Series",
     "Table",
     "empirical_cdf",
-    "failure_table",
     "reuse_table",
     "format_table",
     "mean_absolute_error",

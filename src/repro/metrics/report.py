@@ -17,7 +17,6 @@ __all__ = [
     "Figure",
     "Series",
     "Table",
-    "failure_table",
     "format_table",
     "reuse_depth_histogram",
     "reuse_table",
@@ -146,61 +145,6 @@ class Figure:
         return "\n".join(lines)
 
 
-def failure_table(
-    fault_stats=None,
-    engine_stats: Sequence = (),
-    cluster_stats=None,
-    traces=None,
-    name: str = "failures",
-) -> Table:
-    """Injected vs. observed vs. recovered failure counters as a Table.
-
-    Duck-typed so any combination of sources works: ``fault_stats`` is a
-    :class:`~repro.faults.plan.FaultStats` (what the plan injected),
-    ``engine_stats`` an iterable of
-    :class:`~repro.containers.engine.EngineStats` (what each engine saw
-    and what the middleware did about it), ``cluster_stats`` a
-    :class:`~repro.core.cluster.ClusterStats` (failovers), and
-    ``traces`` a :class:`~repro.faas.tracing.TraceCollector` (terminal
-    request outcomes).  Missing sources contribute zero rows.
-    """
-
-    def engine_sum(attr: str) -> int:
-        return sum(int(getattr(s, attr, 0)) for s in engine_stats)
-
-    rows: List[Tuple[Union[str, Number], ...]] = []
-    if fault_stats is not None:
-        for kind, count in sorted(fault_stats.as_dict().items()):
-            rows.append(("injected", kind, int(count)))
-    for attr in ("boot_failures", "transient_errors", "exec_crashes"):
-        rows.append(("observed", attr, engine_sum(attr)))
-    for attr in (
-        "boot_retries",
-        "hedged_boots",
-        "breaker_opens",
-        "breaker_fastfails",
-        "request_retries",
-        "requests_failed",
-        "requests_deadline",
-    ):
-        rows.append(("recovery", attr, engine_sum(attr)))
-    if cluster_stats is not None:
-        rows.append(
-            ("recovery", "failovers", int(getattr(cluster_stats, "failovers", 0)))
-        )
-        rows.append(
-            ("recovery", "hosts_lost", int(getattr(cluster_stats, "hosts_lost", 0)))
-        )
-    if traces is not None:
-        for outcome, count in sorted(traces.outcome_counts().items()):
-            rows.append(("outcome", outcome, int(count)))
-    return Table(
-        name=name,
-        columns=("class", "counter", "count"),
-        rows=tuple(rows),
-    )
-
-
 #: Reuse-depth histogram bucket edges: [lo, hi) per label, last open.
 _DEPTH_BUCKETS = (
     ("0", 0, 1),
@@ -257,8 +201,8 @@ def reuse_table(
     Breaks cold starts eliminated via the relaxed fallback and
     inter-key repurposing out from exact-key hits, so the paper's
     hit-ratio definition (exact-key reuse over lookups) stays intact
-    next to the extended reuse paths.  Duck-typed like
-    :func:`failure_table`: ``pool_stats`` is an iterable of
+    next to the extended reuse paths.  Duck-typed so any combination of
+    sources works: ``pool_stats`` is an iterable of
     :class:`~repro.core.pool.PoolStats`, ``engine_stats`` of
     :class:`~repro.containers.engine.EngineStats`, ``cluster_stats`` a
     :class:`~repro.core.cluster.ClusterStats`, ``traces`` a
