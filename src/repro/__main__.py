@@ -16,6 +16,8 @@ Commands
     Print a bundled (or JSON-file) spec as JSON.
 ``scenarios run <spec> [--jobs N] [--out DIR]``
     Run a scenario (bundled name or JSON spec file) and print the report.
+``report <out> [--rounds N] [--round-ms MS] [--snapshot-ms MS]``
+    Run an instrumented HotC burst workload and write its run report.
 ``version``
     Print the package version.
 """
@@ -135,6 +137,65 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
+def cmd_report(args) -> int:
+    """The Fig 14b burst pattern on one host with the adaptive control
+    loop on, an observatory and a periodic snapshotter attached; writes
+    metrics.prom, events.jsonl, snapshots.jsonl, trace.json,
+    accuracy.txt/.json and summary.json into ``args.out``."""
+    from repro.core.hotc import HotC, HotCConfig
+    from repro.faas.platform import FaasPlatform
+    from repro.obs import Observatory, Snapshotter, write_run_report
+    from repro.workloads.apps import default_catalog, qr_encoder_app
+    from repro.workloads.generator import WorkloadGenerator
+    from repro.workloads.patterns import BurstPattern
+
+    config = HotCConfig(control_interval_ms=args.round_ms)
+    platform = FaasPlatform(
+        default_catalog().make_registry(),
+        seed=args.seed,
+        provider_factory=lambda engine: HotC(engine, config),
+        jitter_sigma=0.05,
+    )
+    observatory = Observatory()
+    platform.attach_observatory(observatory)
+    snapshotter = Snapshotter(
+        platform.sim, observatory, period_ms=args.snapshot_ms
+    )
+    spec = qr_encoder_app(name="qr-python", language="python")
+    platform.deploy(spec)
+    platform.sim.process(platform.engine.ensure_image(spec.image))
+    platform.run()
+
+    pattern = BurstPattern(
+        n_rounds=args.rounds,
+        round_ms=args.round_ms,
+        burst_rounds=tuple(r for r in (4, 8) if r < args.rounds),
+    )
+    snapshotter.start()
+    platform.provider.start_control_loop()
+    last_round = max(time for time, _ in pattern.rounds())
+    run_until = platform.sim.now + last_round + 4 * args.round_ms + 120_000.0
+    WorkloadGenerator(platform).run(pattern, spec.name, run_until=run_until)
+    platform.provider.stop_control_loop()
+    snapshotter.stop()
+    platform.run()
+    platform.shutdown()
+
+    paths = write_run_report(
+        args.out,
+        observatory,
+        traces=platform.traces,
+        controller=platform.provider.controller,
+        snapshotter=snapshotter,
+    )
+    outcomes = platform.traces.outcome_counts()
+    print(f"requests: {len(platform.traces)} ({outcomes})")
+    print(f"events:   {observatory.events.total_appended}")
+    for name, path in sorted(paths.items()):
+        print(f"wrote {name}: {path}")
+    return 0
+
+
 def cmd_version(args) -> int:
     print(repro.__version__)
     return 0
@@ -191,6 +252,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write report.json/report.txt here"
     )
     scenarios_run.set_defaults(func=cmd_scenarios)
+
+    report = commands.add_parser(
+        "report", help="run an instrumented workload, write its run report"
+    )
+    report.add_argument("out", help="output directory (created if missing)")
+    report.add_argument(
+        "--rounds", type=int, default=12, help="workload rounds (default 12)"
+    )
+    report.add_argument(
+        "--round-ms",
+        type=float,
+        default=30_000.0,
+        help="round / control interval length in sim ms (default 30000)",
+    )
+    report.add_argument(
+        "--snapshot-ms",
+        type=float,
+        default=5_000.0,
+        help="registry snapshot period in sim ms (default 5000)",
+    )
+    report.set_defaults(func=cmd_report)
 
     version = commands.add_parser("version", help="print the version")
     version.set_defaults(func=cmd_version)

@@ -1,7 +1,7 @@
 """Run reports: one call dumps every exporter plus prediction accuracy.
 
-:func:`write_run_report` is the single entry point experiments and the
-``python -m repro.metrics`` runner use after a simulation finishes.  It
+:func:`write_run_report` is the single entry point experiments and
+``python -m repro report`` use after a simulation finishes.  It
 writes into an output directory:
 
 * ``metrics.prom`` — Prometheus text exposition of the registry,

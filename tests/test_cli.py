@@ -96,3 +96,18 @@ class TestScenarioCommands:
         import json
 
         assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
+class TestReport:
+    def test_report_writes_the_run_bundle(self, capsys, tmp_path):
+        out = tmp_path / "run-report"
+        assert main(["report", str(out), "--rounds", "3"]) == 0
+        for name in (
+            "metrics.prom",
+            "events.jsonl",
+            "trace.json",
+            "accuracy.txt",
+            "summary.json",
+        ):
+            assert (out / name).stat().st_size > 0, name
+        assert "wrote summary.json" in capsys.readouterr().out
