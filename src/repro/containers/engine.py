@@ -137,6 +137,10 @@ class ContainerEngine:
         #: Optional observatory; ``None`` keeps every hook inert.
         self.obs = None
         self._containers: Dict[str, Container] = {}
+        #: Live (RUNNING or EXECUTING) containers by id, kept at the
+        #: FSM's edges: a container enters when its boot reaches
+        #: RUNNING and leaves at its one ``-> STOPPING`` transition.
+        self._live: Dict[str, Container] = {}
         self._local_images: set[str] = set()
         #: Lazy pulls defer bytes; the first exec per image pays them.
         self._pending_exec_penalty_ms: Dict[str, float] = {}
@@ -153,16 +157,24 @@ class ContainerEngine:
 
     def live_containers(self) -> Tuple[Container, ...]:
         """All live (running or executing) containers, by id."""
-        return tuple(
-            c
-            for _, c in sorted(self._containers.items())
-            if c.is_live
-        )
+        return tuple(c for _, c in sorted(self._live.items()))
 
     @property
     def live_count(self) -> int:
         """Number of live containers on this host."""
-        return sum(1 for c in self._containers.values() if c.is_live)
+        return len(self._live)
+
+    def check_consistency(self) -> None:
+        """Audit the live index against a scan of the lifecycle FSM.
+
+        Containers compare by identity, so equality with the scan also
+        proves every indexed container is still the one the engine holds.
+        """
+        scanned = {cid: c for cid, c in self._containers.items() if c.is_live}
+        assert self._live == scanned, (
+            f"{self.name}: live index {sorted(self._live)} != "
+            f"FSM scan {sorted(scanned)}"
+        )
 
     def has_image(self, reference: str) -> bool:
         """Whether the image is in the local cache."""
@@ -354,6 +366,7 @@ class ContainerEngine:
             self.latency.ops.idle_container_mem_mb,
         )
         container.transition(ContainerState.RUNNING)
+        self._live[container.container_id] = container
         container.started_at = self.sim.now
         self.stats.boots += 1
         if self.fault_injector is not None:
@@ -569,6 +582,7 @@ class ContainerEngine:
                 f"container {container.container_id} is not live"
             )
         container.transition(ContainerState.STOPPING)
+        del self._live[container.container_id]
         yield self.sim.timeout(self.latency.container_stop())
         container.transition(ContainerState.STOPPED)
         if container.idle_allocation is not None:
@@ -595,6 +609,7 @@ class ContainerEngine:
                 f"{container.container_id} is {container.state.value}"
             )
         container.transition(ContainerState.STOPPING)
+        del self._live[container.container_id]
         container.transition(ContainerState.STOPPED)
         if container.idle_allocation is not None:
             self._release(container.idle_allocation)
@@ -616,6 +631,7 @@ class ContainerEngine:
         exec allocation is the caller's to release.
         """
         container.transition(ContainerState.STOPPING)
+        del self._live[container.container_id]
         container.transition(ContainerState.STOPPED)
         if container.idle_allocation is not None:
             self._release(container.idle_allocation)

@@ -977,7 +977,8 @@ class HotC(RuntimeProvider):
         )
 
     def check_consistency(self) -> None:
-        """Invariant audit across the pool and the demand accounting."""
+        """Invariant audit across the engine, the pool and the demand accounting."""
+        self.engine.check_consistency()
         self.pool.check_consistency()
         for key, state in self._keys.items():
             assert state.busy >= 0, f"negative busy count for {key}: {state.busy}"

@@ -195,8 +195,7 @@ class FaasPlatform:
         """Register a function; its image must exist in the registry."""
         if spec.name in self._functions:
             raise ValueError(f"function {spec.name!r} already deployed")
-        self.registry.resolve(spec.image)  # fail fast on unknown images
-        image = self.registry.resolve(spec.image)
+        image = self.registry.resolve(spec.image)  # fails fast on unknown images
         if image.language is not None and image.language != spec.language:
             raise ValueError(
                 f"function {spec.name!r} wants {spec.language!r} but image "

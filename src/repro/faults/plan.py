@@ -440,10 +440,8 @@ class FaultPlan:
 
     # -- scheduled-fault executors (simulator callbacks) ----------------------
     def _kill_idle(self, engine, count: int, rng: np.random.Generator) -> None:
-        candidates = sorted(
-            (c for c in engine.live_containers() if c.is_reusable),
-            key=lambda c: c.container_id,
-        )
+        # live_containers() is already in id order.
+        candidates = [c for c in engine.live_containers() if c.is_reusable]
         for _ in range(min(count, len(candidates))):
             victim = candidates.pop(int(rng.integers(len(candidates))))
             engine.kill_container(victim)

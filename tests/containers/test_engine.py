@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from repro.containers import (
+    Container,
     ContainerConfig,
     ContainerEngine,
     ContainerError,
@@ -15,6 +16,7 @@ from repro.containers import (
     Registry,
     make_base_image,
 )
+from repro.faults import BootFailure, ExecCrash, FaultInjector, HostDownError
 from repro.hardware import RASPBERRY_PI3, T430_SERVER
 from repro.sim import Simulator
 
@@ -326,6 +328,127 @@ class TestIdleFootprint:
     def test_live_containers_listing_sorted(self, sim, engine):
         ids = [boot(sim, engine).container_id for _ in range(3)]
         assert [c.container_id for c in engine.live_containers()] == sorted(ids)
+
+    def test_listing_sorted_when_boots_land_out_of_order(self, sim, engine):
+        run_process(sim, engine.ensure_image("python:3.6"))
+        slow = sim.process(
+            engine.boot_container(
+                ContainerConfig(image="python:3.6", network=NetworkConfig(mode="overlay"))
+            )
+        )
+        fast = sim.process(engine.boot_container(ContainerConfig(image="python:3.6")))
+        sim.run()
+        assert slow.value.container_id < fast.value.container_id
+        assert list(engine._live) == [fast.value.container_id, slow.value.container_id]
+        assert engine.live_containers() == (slow.value, fast.value)
+
+
+def live_ids(engine):
+    return [c.container_id for c in engine.live_containers()]
+
+
+class TestLiveIndex:
+    """The live set is kept at the FSM's edges, not rescanned per read."""
+
+    @pytest.fixture
+    def injector(self, engine):
+        injector = FaultInjector()
+        engine.attach_fault_injector(injector)
+        return injector
+
+    def test_enters_on_boot(self, sim, engine):
+        container = boot(sim, engine)
+        assert live_ids(engine) == [container.container_id]
+        assert engine.live_count == 1
+        engine.check_consistency()
+
+    def test_leaves_on_stop_at_the_stopping_edge(self, sim, engine):
+        container = boot(sim, engine)
+        proc = sim.process(engine.stop_container(container))
+        sim.step()  # start the stop: the container is now STOPPING
+        assert container.state is ContainerState.STOPPING
+        assert engine.live_count == 0
+        engine.check_consistency()
+        sim.run()
+        assert proc.ok
+        assert live_ids(engine) == []
+        engine.check_consistency()
+
+    def test_leaves_on_kill(self, sim, engine):
+        keep, victim = boot(sim, engine), boot(sim, engine)
+        engine.kill_container(victim)
+        assert live_ids(engine) == [keep.container_id]
+        engine.check_consistency()
+
+    def test_leaves_on_exec_crash(self, sim, engine, injector):
+        container = boot(sim, engine)
+        injector.crash_next_execs(1)
+        with pytest.raises(ExecCrash):
+            run_process(sim, engine.execute(container, ExecSpec(app_id="x", exec_ms=50)))
+        assert container.state is ContainerState.REMOVED
+        assert engine.live_count == 0
+        engine.check_consistency()
+
+    def test_leaves_when_host_dies_under_an_exec(self, sim, engine, injector):
+        keep, victim = boot(sim, engine), boot(sim, engine)
+        proc = sim.process(
+            engine.execute(victim, ExecSpec(app_id="x", exec_ms=1_000))
+        )
+        sim.run(until=sim.now + 100)
+        assert victim.state is ContainerState.EXECUTING
+        assert engine.live_count == 2
+        injector.down = True
+        sim.run()
+        assert not proc.ok and isinstance(proc.value, HostDownError)
+        assert victim.state is ContainerState.REMOVED
+        assert live_ids(engine) == [keep.container_id]
+        engine.check_consistency()
+
+    def test_boot_killed_by_host_outage_leaves(self, sim, engine, injector):
+        boot(sim, engine)  # image cached: the next boot pulls nothing
+        proc = sim.process(
+            engine.boot_container(
+                ContainerConfig(image="python:3.6"), warm_runtime=True
+            )
+        )
+        while engine.live_count < 2:
+            sim.step()
+        injector.down = True  # lands during the warm runtime init
+        sim.run()
+        assert not proc.ok and isinstance(proc.value, HostDownError)
+        assert engine.live_count == 1
+        assert engine.stats.kills == 1
+        engine.check_consistency()
+
+    def test_boot_failing_before_running_never_enters(self, sim, engine, injector):
+        injector.fail_next_boots(1)
+        with pytest.raises(BootFailure):
+            boot(sim, engine)
+        proc = sim.process(engine.boot_container(ContainerConfig(image="python:3.6")))
+        while not engine._containers:
+            sim.step()
+        proc.interrupt("aborted")  # dies in CREATED, before RUNNING
+        sim.run()
+        assert not proc.ok
+        assert len(engine._containers) == 1
+        assert engine.live_count == 0
+        assert engine.live_containers() == ()
+        engine.check_consistency()
+
+    def test_live_count_does_not_scan(self, sim, engine, monkeypatch):
+        def boots():
+            for _ in range(1_000):
+                sim.process(engine.boot_container(ContainerConfig(image="alpine:3.8")))
+            yield sim.timeout(0)
+
+        run_process(sim, boots())
+        engine.check_consistency()
+
+        def no_scan(self):
+            raise AssertionError("live_count scanned the containers")
+
+        monkeypatch.setattr(Container, "is_live", property(no_scan))
+        assert engine.live_count == 1_000
 
 
 class TestDeterminism:

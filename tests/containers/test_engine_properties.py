@@ -8,7 +8,15 @@ and the lifecycle FSM is always respected.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.containers import ContainerConfig, ContainerEngine, ContainerError, ExecSpec, Registry, make_base_image
+from repro.containers import (
+    ContainerConfig,
+    ContainerEngine,
+    ContainerError,
+    ContainerState,
+    ExecSpec,
+    Registry,
+    make_base_image,
+)
 from repro.sim import Simulator
 
 
@@ -93,8 +101,15 @@ class TestEngineInvariants:
                 pass
 
             # --- invariants after every step ---
+            # The live index against an independent scan of the FSM.
+            scanned = tuple(
+                c
+                for _, c in sorted(engine._containers.items())
+                if c.state in (ContainerState.RUNNING, ContainerState.EXECUTING)
+            )
             live = engine.live_containers()
-            assert engine.live_count == len(live)
+            assert live == scanned
+            assert engine.live_count == len(scanned)
             # One mounted volume per live container, none dangling.
             assert len(engine.volumes) == len(live)
             for container in live:
