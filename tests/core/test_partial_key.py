@@ -152,6 +152,36 @@ class TestPartialReuse:
         platform2.run()
         assert platform2.provider.pool.stats.relaxed_hits == 1
 
+    def test_prewarm_landing_after_retire_is_a_donor(self, registry):
+        """Regression: a prewarm of a key whose last container was
+        retired is an idle donor for the relaxed fallback, even though
+        no request of that key arrived since."""
+        config = HotCConfig(
+            fallback_key_policy=KeyPolicy.RELAXED, control_interval_ms=0
+        )
+        platform = FaasPlatform(
+            registry,
+            seed=0,
+            jitter_sigma=0.0,
+            provider_factory=lambda engine: HotC(engine, config),
+        )
+        platform.deploy(env_variant("fn-a", "alpha"))
+        platform.deploy(env_variant("fn-b", "beta"))
+        platform.submit("fn-a")
+        platform.run()
+        provider = platform.provider
+        key_a = provider.key_of(env_variant("fn-a", "alpha").container_config())
+        provider._resize_key(key_a, 0)  # retire fn-a's only container
+        platform.run()
+        provider._resize_key(key_a, 1)  # land one prewarm of fn-a
+        platform.run()
+        assert provider.pool.num_available(key_a) == 1
+        platform.submit("fn-b")
+        platform.run()
+        assert provider.pool.stats.relaxed_hits == 1
+        assert platform.traces.cold_count() == 1
+        assert platform.engine.stats.boots == 2
+
     def test_disabled_fallback_misses(self, registry):
         platform = make_platform(registry, fallback=None)
         platform.deploy(env_variant("fn-a", "alpha"))
