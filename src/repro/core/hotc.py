@@ -178,10 +178,6 @@ class HotC(RuntimeProvider):
         #: Set by shutdown(): released/landing containers are retired
         #: instead of recycled, and no new prewarms are spawned.
         self._draining = False
-        #: Prune per-key side-indexes when a key's last container leaves.
-        self.pool.on_key_empty = self._forget_key
-        #: Partial-key matching: relaxed key -> full keys seen under it.
-        self._relaxed_index: Dict[RuntimeKey, set] = {}
         #: Inter-key repurposing similarity model.  ``None`` unless
         #: opted in, so disabled runs never construct (or consult) it.
         self.similarity: Optional[KeySimilarityModel] = (
@@ -299,7 +295,6 @@ class HotC(RuntimeProvider):
             )
         key = self.key_of(config)
         state = self._learn(key, config)
-        self._index_relaxed(key, state.config)
         state.busy += 1
         if state.busy > state.peak:
             state.peak = state.busy
@@ -309,15 +304,7 @@ class HotC(RuntimeProvider):
                 container.reuse = "hit"
                 container.respec_ms = 0.0
             else:
-                if self.config.fallback_key_policy is not None:
-                    container = yield from self._acquire_donor(
-                        key, config, "relaxed", self._relaxed_donors(key, config)
-                    )
-                if container is None and self.similarity is not None:
-                    container = yield from self._acquire_donor(
-                        key, config, "repurpose",
-                        self._repurpose_donors(key, config),
-                    )
+                container = yield from self._acquire_donor(key, config)
             if container is not None:
                 container.leased = True
                 return container, False
@@ -360,30 +347,6 @@ class HotC(RuntimeProvider):
             # lookup recorded and hit_ratio stays honest.
             self.cleanup.discard_dead(container)
 
-    def _index_relaxed(self, key: RuntimeKey, config: ContainerConfig) -> None:
-        if self.config.fallback_key_policy is None:
-            return
-        relaxed = runtime_key(config, self.config.fallback_key_policy)
-        self._relaxed_index.setdefault(relaxed, set()).add(key)
-
-    def _forget_key(self, key: RuntimeKey) -> None:
-        """Pool hook: the last container of ``key`` was retired.
-
-        Prunes ``key`` from the relaxed fallback index (and drops the
-        relaxed bucket once empty) so long-running multi-tenant hosts do
-        not accumulate index entries for key types that no longer have
-        any pooled container.  The next request of that type re-indexes.
-        """
-        state = self._keys.get(key)
-        if self.config.fallback_key_policy is None or state is None:
-            return
-        relaxed = runtime_key(state.config, self.config.fallback_key_policy)
-        full_keys = self._relaxed_index.get(relaxed)
-        if full_keys is not None:
-            full_keys.discard(key)
-            if not full_keys:
-                del self._relaxed_index[relaxed]
-
     def _donor_acquire_healthy(
         self, key: RuntimeKey, reuse: str
     ) -> Optional[Container]:
@@ -406,19 +369,47 @@ class HotC(RuntimeProvider):
                 return container
             self.cleanup.discard_dead(container, reuse=reuse)
 
+    def _donors(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
+        """``(reuse, donor_key, cost, score)`` rows, stage by stage.
+
+        The relaxed fallback first, then repurposing, each only when
+        opted in.  A stage ranks its donors only once the previous one
+        is exhausted: a failed re-spec yields sim time, and the pool
+        may have changed meanwhile.
+        """
+        if self.config.fallback_key_policy is not None:
+            for row in self._relaxed_donors(key, config):
+                yield ("relaxed",) + row
+        if self.similarity is not None:
+            for row in self._repurpose_donors(key, config):
+                yield ("repurpose",) + row
+
+    def _idle_donors(self, key: RuntimeKey) -> Generator:
+        """``(donor_key, state)`` of every other pooled key with an idle
+        container and a record."""
+        for donor_key in self.pool.keys():
+            if donor_key == key or self.pool.num_available(donor_key) == 0:
+                continue
+            state = self._keys.get(donor_key)
+            if state is not None:
+                yield donor_key, state
+
     def _relaxed_donors(self, key: RuntimeKey, config: ContainerConfig) -> list:
         """``(donor_key, cost, score)`` rows of the partial-key fallback.
 
-        Every other full key seen under ``config``'s relaxed key, in key
-        order.  The cost is ``None``: the config-delta time is drawn
-        only once a donor is claimed.
+        Every idle donor key whose config shares ``config``'s relaxed
+        key, in key order.  The cost is ``None``: the config-delta time
+        is drawn only once a donor is claimed.
         """
-        relaxed = runtime_key(config, self.config.fallback_key_policy)
-        return [
-            (candidate, None, None)
-            for candidate in sorted(self._relaxed_index.get(relaxed, ()), key=str)
-            if candidate != key
+        policy = self.config.fallback_key_policy
+        relaxed = runtime_key(config, policy)
+        candidates = [
+            (donor_key, None, None)
+            for donor_key, state in self._idle_donors(key)
+            if runtime_key(state.config, policy) == relaxed
         ]
+        candidates.sort(key=lambda item: str(item[0]))
+        return candidates
 
     def _repurpose_donors(self, key: RuntimeKey, config: ContainerConfig) -> list:
         """``(donor_key, cost, score)`` rows of inter-key repurposing.
@@ -433,12 +424,7 @@ class HotC(RuntimeProvider):
         model = self.similarity
         estimate = self._cold_boot_estimate(key, config)
         candidates = []
-        for donor_key in self.pool.keys():
-            if donor_key == key or self.pool.num_available(donor_key) == 0:
-                continue
-            donor = self._keys.get(donor_key)
-            if donor is None:
-                continue
+        for donor_key, donor in self._idle_donors(key):
             score = model.score(donor.config, config)
             if score < REPURPOSE_MIN_SCORE:
                 continue
@@ -454,9 +440,7 @@ class HotC(RuntimeProvider):
         candidates.sort(key=lambda item: (item[1], str(item[0])))
         return candidates
 
-    def _acquire_donor(
-        self, key: RuntimeKey, config: ContainerConfig, reuse: str, donors: list
-    ) -> Generator:
+    def _acquire_donor(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
         """Process: re-specialize the first donor that survives the re-spec.
 
         Each donor is claimed *before* the re-spec timeout so no other
@@ -465,7 +449,7 @@ class HotC(RuntimeProvider):
         discarded — the failover drain may have already forgotten the
         entry, and discard_dead tolerates that — and the next is tried.
         """
-        for donor_key, cost, score in donors:
+        for reuse, donor_key, cost, score in self._donors(key, config):
             container = self._donor_acquire_healthy(donor_key, reuse)
             if container is None:
                 continue
@@ -869,7 +853,6 @@ class HotC(RuntimeProvider):
         self._crashed = True
         lost = self.pool.reset()
         self._keys.clear()
-        self._relaxed_index.clear()
         self.controller = self.config.make_controller()
         # Health records and the recycle queue are in-memory control
         # state too; the ``condemned`` flag stays on the containers, so
@@ -964,8 +947,6 @@ class HotC(RuntimeProvider):
                         "checkpoint entry has no live container",
                     )
                 )
-        for key, state in self._keys.items():
-            self._index_relaxed(key, state.config)
         self._crashed = False
         return repairs
 

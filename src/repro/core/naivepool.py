@@ -18,7 +18,7 @@ faster with identical semantics.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.containers.container import Container
 from repro.core.keys import RuntimeKey
@@ -40,8 +40,8 @@ class NaiveContainerRuntimePool:
     """Reference pool: list scans everywhere, no indexes.
 
     Mirrors the public API of
-    :class:`~repro.core.pool.ContainerRuntimePool` (including the
-    ``on_key_empty`` hook and ``discard_dead``) so the two are drop-in
+    :class:`~repro.core.pool.ContainerRuntimePool` (including
+    ``discard_dead``) so the two are drop-in
     interchangeable in tests and benchmarks.
     """
 
@@ -57,8 +57,6 @@ class NaiveContainerRuntimePool:
         self.limits = limits
         self.eviction = eviction
         self.stats = PoolStats()
-        #: Fires with the key after its last entry leaves the pool.
-        self.on_key_empty: Optional[Callable[[RuntimeKey], None]] = None
         self._entries: Dict[RuntimeKey, List[PoolEntry]] = {}
         self._by_container: Dict[str, PoolEntry] = {}
         self._quarantined: Dict[str, PoolEntry] = {}
@@ -150,12 +148,9 @@ class NaiveContainerRuntimePool:
         del self._by_container[container.container_id]
         siblings = self._entries[entry.key]
         siblings.remove(entry)
-        key_emptied = not siblings
-        if key_emptied:
+        if not siblings:
             del self._entries[entry.key]
         self.stats.retired += 1
-        if key_emptied and self.on_key_empty is not None:
-            self.on_key_empty(entry.key)
         return entry
 
     def quarantine(self, container: Container) -> PoolEntry:
@@ -166,11 +161,8 @@ class NaiveContainerRuntimePool:
         del self._by_container[container.container_id]
         siblings = self._entries[entry.key]
         siblings.remove(entry)
-        key_emptied = not siblings
-        if key_emptied:
+        if not siblings:
             del self._entries[entry.key]
-        if key_emptied and self.on_key_empty is not None:
-            self.on_key_empty(entry.key)
         return entry
 
     def mark_recycled(self, container: Container) -> PoolEntry:

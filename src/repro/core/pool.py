@@ -55,7 +55,7 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.containers.container import Container
 from repro.core.keys import RuntimeKey
@@ -183,13 +183,7 @@ class PoolStats:
 
 
 class ContainerRuntimePool:
-    """Key-value store of live container runtimes.
-
-    The optional ``on_key_empty`` callback fires after the last pooled
-    container of a key is removed — HotC uses it to prune per-key
-    side-indexes (e.g. the relaxed-key fallback index) so long-running
-    multi-tenant hosts do not leak bookkeeping.
-    """
+    """Key-value store of live container runtimes."""
 
     def __init__(
         self,
@@ -203,8 +197,6 @@ class ContainerRuntimePool:
         self.limits = limits
         self.eviction = eviction
         self.stats = PoolStats()
-        #: Fires with the key after its last entry leaves the pool.
-        self.on_key_empty: Optional[Callable[[RuntimeKey], None]] = None
         #: Optional observatory; ``None`` keeps the acquire hook inert
         #: (one pointer comparison on the ~50µs hot path).
         self.obs = None
@@ -490,7 +482,7 @@ class ContainerRuntimePool:
 
     def _unlink(self, entry: PoolEntry) -> None:
         # Shared tail of remove()/quarantine(): drop the entry from
-        # every index and fire the key-emptied hook.
+        # every index.
         container = entry.container
         entry.in_pool = False
         entry.stamp += 1
@@ -502,16 +494,13 @@ class ContainerRuntimePool:
         if entry.available:
             counts[0] -= 1
             self._total_available -= 1
-        key_emptied = not siblings
-        if key_emptied:
+        if siblings:
+            self._maybe_compact_avail(entry.key)
+        else:
             del self._entries[entry.key]
             del self._counts[entry.key]
             self._avail_lists.pop(entry.key, None)
-        if not key_emptied:
-            self._maybe_compact_avail(entry.key)
         self._maybe_compact_evictions()
-        if key_emptied and self.on_key_empty is not None:
-            self.on_key_empty(entry.key)
 
     def discard_dead(
         self, container: Container, reuse: str = "hit"

@@ -125,33 +125,6 @@ class TestPartialReuse:
         # fn-b's: no partial hit recorded.
         assert provider.pool.stats.relaxed_hits == 0
 
-    def test_relaxed_index_pruned_when_key_retired(self, registry):
-        """Regression: the relaxed index must not grow without bound —
-        a full key whose last pooled container is retired is pruned."""
-        from repro.core import runtime_key
-
-        platform = make_platform(registry)
-        platform.deploy(env_variant("fn-a", "alpha"))
-        platform.submit("fn-a")
-        platform.run()
-        provider = platform.provider
-        config_a = env_variant("fn-a", "alpha").container_config()
-        key_a = provider.key_of(config_a)
-        relaxed = runtime_key(config_a, KeyPolicy.RELAXED)
-        assert key_a in provider._relaxed_index[relaxed]
-        # Retire the only container of key_a (e.g. via shutdown drain).
-        platform.shutdown()
-        assert relaxed not in provider._relaxed_index
-        # The next request of that type re-indexes transparently.
-        platform2 = make_platform(registry)
-        platform2.deploy(env_variant("fn-a", "alpha"))
-        platform2.deploy(env_variant("fn-b", "beta"))
-        platform2.submit("fn-a")
-        platform2.run()
-        platform2.submit("fn-b")
-        platform2.run()
-        assert platform2.provider.pool.stats.relaxed_hits == 1
-
     def test_prewarm_landing_after_retire_is_a_donor(self, registry):
         """Regression: a prewarm of a key whose last container was
         retired is an idle donor for the relaxed fallback, even though

@@ -225,31 +225,6 @@ class TestDeadDiscards:
         assert pool.stats.hit_ratio == 0.0
 
 
-class TestOnKeyEmpty:
-    def test_hook_fires_when_last_entry_leaves(self, pool):
-        emptied = []
-        pool.on_key_empty = emptied.append
-        key = key_for()
-        first, second = make_container("c1"), make_container("c2")
-        pool.register(first, key, now=0.0, available=True)
-        pool.register(second, key, now=0.0, available=True)
-        pool.remove(first)
-        assert emptied == []
-        pool.remove(second)
-        assert emptied == [key]
-
-    def test_hook_sees_consistent_pool(self, pool):
-        key = key_for()
-        container = make_container("c1")
-        pool.register(container, key, now=0.0, available=True)
-        seen = {}
-        pool.on_key_empty = lambda k: seen.update(
-            state=pool.state_of(k), live=pool.total_live
-        )
-        pool.remove(container)
-        assert seen == {"state": NOT_EXISTING, "live": 0}
-
-
 class TestPoolInvariants:
     @given(
         st.lists(
