@@ -503,7 +503,7 @@ class ContainerEngine:
 
             if isinstance(error, ExecCrash):
                 self.stats.exec_crashes += 1
-                self._destroy_crashed(container)
+                self._destroy(container)
             raise
         finally:
             self._release(container.exec_allocation)
@@ -514,7 +514,7 @@ class ContainerEngine:
             from repro.faults.errors import HostDownError
 
             self.stats.exec_crashes += 1
-            self._destroy_crashed(container)
+            self._destroy(container)
             raise HostDownError(
                 f"host {self.name} went down during execution of "
                 f"{container.container_id}"
@@ -584,6 +584,12 @@ class ContainerEngine:
         container.transition(ContainerState.STOPPING)
         del self._live[container.container_id]
         yield self.sim.timeout(self.latency.container_stop())
+        self._mark_stopped(container)
+        self.stats.stops += 1
+        return container
+
+    def _mark_stopped(self, container: Container) -> None:
+        """STOPPING -> STOPPED: release the idle allocation and the volume."""
         container.transition(ContainerState.STOPPED)
         if container.idle_allocation is not None:
             self._release(container.idle_allocation)
@@ -592,8 +598,6 @@ class ContainerEngine:
             self.volumes.unmount(container.volume)
             self.volumes.delete(container.volume)
             container.volume = None
-        self.stats.stops += 1
-        return container
 
     def kill_container(self, container: Container) -> Container:
         """Instantly terminate an *idle* container (failure injection).
@@ -608,38 +612,20 @@ class ContainerEngine:
                 f"can only kill idle containers; "
                 f"{container.container_id} is {container.state.value}"
             )
-        container.transition(ContainerState.STOPPING)
-        del self._live[container.container_id]
-        container.transition(ContainerState.STOPPED)
-        if container.idle_allocation is not None:
-            self._release(container.idle_allocation)
-            container.idle_allocation = None
-        if container.volume is not None:
-            self.volumes.unmount(container.volume)
-            self.volumes.delete(container.volume)
-            container.volume = None
-        container.transition(ContainerState.REMOVED)
-        del self._containers[container.container_id]
+        self._destroy(container)
         self.stats.kills += 1
         return container
 
-    def _destroy_crashed(self, container: Container) -> None:
-        """Instant teardown of a container whose execution died.
+    def _destroy(self, container: Container) -> None:
+        """Instant teardown of a live container, idle or executing.
 
-        Like :meth:`kill_container` but starting from ``EXECUTING``:
-        resources and volume are reclaimed immediately; the in-flight
-        exec allocation is the caller's to release.
+        No stop or remove latency: resources and volume are reclaimed
+        immediately.  A crashed exec's own allocation is its caller's
+        to release.
         """
         container.transition(ContainerState.STOPPING)
         del self._live[container.container_id]
-        container.transition(ContainerState.STOPPED)
-        if container.idle_allocation is not None:
-            self._release(container.idle_allocation)
-            container.idle_allocation = None
-        if container.volume is not None:
-            self.volumes.unmount(container.volume)
-            self.volumes.delete(container.volume)
-            container.volume = None
+        self._mark_stopped(container)
         container.transition(ContainerState.REMOVED)
         del self._containers[container.container_id]
 

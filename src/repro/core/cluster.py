@@ -144,18 +144,10 @@ class ClusterHotC(RuntimeProvider):
             return
         if self.obs is not None:
             monitor.attach_observatory(self.obs)
-        for index, host in enumerate(self.hosts):
+        for host in self.hosts:
             monitor.register_host(
-                host.engine.name, host.engine, on_drain=self._drain_hook(index)
+                host.engine.name, host.engine, on_drain=host.drain_lost
             )
-
-    def _drain_hook(self, index: int):
-        def drain() -> None:
-            host = self.hosts[index]
-            host.drain_dead()
-            host.absorb_pending_boots()
-
-        return drain
 
     def attach_recovery(self, manager) -> None:
         """Wire a recovery manager through the cluster (``None`` detaches).
@@ -237,8 +229,7 @@ class ClusterHotC(RuntimeProvider):
         self._down.add(index)
         self.stats.hosts_lost += 1
         host = self.hosts[index]
-        host.drain_dead()
-        host.absorb_pending_boots()
+        host.drain_lost()
         if self.health is not None:
             # Confirmed unreachability beats any phi estimate.
             self.health.on_host_down(host.engine.name)

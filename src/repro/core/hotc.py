@@ -1073,6 +1073,12 @@ class HotC(RuntimeProvider):
         self._prewarm_epoch += 1
         return absorbed
 
+    def drain_lost(self) -> None:
+        """This host was declared lost (outage or detector drain): purge
+        its dead pool entries and absorb its in-flight prewarm boots."""
+        self.drain_dead()
+        self.absorb_pending_boots()
+
     def _under_pressure(self) -> bool:
         """The paper's memory-pressure heuristic on this host."""
         return self.engine.resources.memory_pressure(

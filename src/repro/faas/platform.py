@@ -54,6 +54,14 @@ class RuntimeProvider(abc.ABC):
         The default is a no-op for providers without such bookkeeping.
         """
 
+    def engine_for(self, container: Container) -> ContainerEngine:
+        """The engine that runs ``container``.
+
+        The default is the single-host provider's own ``self.engine``;
+        multi-host providers return the engine of the container's host.
+        """
+        return self.engine
+
     def shutdown(self) -> Generator:
         """Process: stop everything the provider still holds."""
         return

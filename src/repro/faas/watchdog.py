@@ -73,8 +73,7 @@ class Watchdog:
                 )
                 # Multi-host providers place containers on their own
                 # engines; run the handler on the engine that owns it.
-                resolve = getattr(self.provider, "engine_for", None)
-                engine = resolve(container) if resolve is not None else self.engine
+                engine = self.provider.engine_for(container)
                 result = yield from engine.execute(container, spec.exec_spec())
             except ContainerError as error:
                 if container is not None:

@@ -192,7 +192,6 @@ def reuse_depth_histogram(traces) -> dict:
 def reuse_table(
     pool_stats: Sequence = (),
     engine_stats: Sequence = (),
-    cluster_stats=None,
     traces=None,
     name: str = "reuse",
 ) -> Table:
@@ -204,8 +203,7 @@ def reuse_table(
     next to the extended reuse paths.  Duck-typed so any combination of
     sources works: ``pool_stats`` is an iterable of
     :class:`~repro.core.pool.PoolStats`, ``engine_stats`` of
-    :class:`~repro.containers.engine.EngineStats`, ``cluster_stats`` a
-    :class:`~repro.core.cluster.ClusterStats`, ``traces`` a
+    :class:`~repro.containers.engine.EngineStats`, ``traces`` a
     :class:`~repro.faas.tracing.TraceCollector`.  Missing sources
     contribute zero rows.
     """
@@ -232,19 +230,6 @@ def reuse_table(
         rows.append(("engine", "boots", total(engine_stats, "boots")))
         rows.append(("engine", "cold_execs", total(engine_stats, "cold_execs")))
         rows.append(("engine", "warm_execs", total(engine_stats, "warm_execs")))
-    if cluster_stats is not None:
-        rows.append(
-            ("cluster", "reuse_routed", int(getattr(cluster_stats, "reuse_routed", 0)))
-        )
-        rows.append(
-            ("cluster", "cold_routed", int(getattr(cluster_stats, "cold_routed", 0)))
-        )
-        rows.append(
-            ("cluster", "relaxed_hits", int(getattr(cluster_stats, "relaxed_hits", 0)))
-        )
-        rows.append(
-            ("cluster", "repurposes", int(getattr(cluster_stats, "repurposes", 0)))
-        )
     if traces is not None:
         reuse_counts: dict = {}
         for trace in traces:
