@@ -378,11 +378,9 @@ class HotC(RuntimeProvider):
         may have changed meanwhile.
         """
         if self.config.fallback_key_policy is not None:
-            for row in self._relaxed_donors(key, config):
-                yield ("relaxed",) + row
+            yield from self._relaxed_donors(key, config)
         if self.similarity is not None:
-            for row in self._repurpose_donors(key, config):
-                yield ("repurpose",) + row
+            yield from self._repurpose_donors(key, config)
 
     def _idle_donors(self, key: RuntimeKey) -> Generator:
         """``(donor_key, state)`` of every other pooled key with an idle
@@ -395,7 +393,7 @@ class HotC(RuntimeProvider):
                 yield donor_key, state
 
     def _relaxed_donors(self, key: RuntimeKey, config: ContainerConfig) -> list:
-        """``(donor_key, cost, score)`` rows of the partial-key fallback.
+        """``_donors`` rows of the partial-key fallback.
 
         Every idle donor key whose config shares ``config``'s relaxed
         key, in key order.  The cost is ``None``: the config-delta time
@@ -404,15 +402,15 @@ class HotC(RuntimeProvider):
         policy = self.config.fallback_key_policy
         relaxed = runtime_key(config, policy)
         candidates = [
-            (donor_key, None, None)
+            ("relaxed", donor_key, None, None)
             for donor_key, state in self._idle_donors(key)
             if runtime_key(state.config, policy) == relaxed
         ]
-        candidates.sort(key=lambda item: str(item[0]))
+        candidates.sort(key=lambda item: str(item[1]))
         return candidates
 
     def _repurpose_donors(self, key: RuntimeKey, config: ContainerConfig) -> list:
-        """``(donor_key, cost, score)`` rows of inter-key repurposing.
+        """``_donors`` rows of inter-key repurposing.
 
         Idle donors of *other* keys ranked by deterministic re-spec cost
         (similarity-scored: shared base layers, network mode, memory
@@ -436,8 +434,8 @@ class HotC(RuntimeProvider):
             )
             if headroom < 1:
                 continue
-            candidates.append((donor_key, cost, score))
-        candidates.sort(key=lambda item: (item[1], str(item[0])))
+            candidates.append(("repurpose", donor_key, cost, score))
+        candidates.sort(key=lambda item: (item[2], str(item[1])))
         return candidates
 
     def _acquire_donor(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
