@@ -12,27 +12,25 @@ import pytest
 
 
 class _SingleShot:
-    """The one ``pytest-benchmark`` call the benches use, run once.
+    """Plugin giving the benches the one ``pytest-benchmark`` call they use.
 
-    A figure run is a deterministic simulation, so timing it over many
-    rounds adds nothing; each bench asserts on the returned result.
+    ``benchmark.pedantic`` runs the workload once and returns its
+    result: a figure run is a deterministic simulation, so timing it
+    over many rounds adds nothing, and each bench asserts on the result.
     """
+
+    @pytest.fixture
+    def benchmark(self):
+        return self
 
     def pedantic(self, fn, args=(), kwargs=None, rounds=1, iterations=1):
         return fn(*args, **(kwargs or {}))
 
 
-class _SingleShotPlugin:
-    @pytest.fixture
-    def benchmark(self):
-        """Run a bench's workload once and return its result."""
-        return _SingleShot()
-
-
 def pytest_configure(config):
     # The pytest-benchmark plugin, when installed, brings its own fixture.
     if not config.pluginmanager.hasplugin("benchmark"):
-        config.pluginmanager.register(_SingleShotPlugin(), "single-shot-benchmark")
+        config.pluginmanager.register(_SingleShot(), "single-shot-benchmark")
 
 
 @pytest.fixture
