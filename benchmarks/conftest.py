@@ -12,25 +12,24 @@ import pytest
 
 
 class _SingleShot:
-    """Plugin giving the benches the one ``pytest-benchmark`` call they use.
+    """The one ``pytest-benchmark`` call the benches use.
 
-    ``benchmark.pedantic`` runs the workload once and returns its
-    result: a figure run is a deterministic simulation, so timing it
-    over many rounds adds nothing, and each bench asserts on the result.
+    ``pedantic`` runs the workload once and returns its result: a figure
+    run is a deterministic simulation, so timing it over many rounds adds
+    nothing, and each bench asserts on the result.
     """
-
-    @pytest.fixture
-    def benchmark(self):
-        return self
 
     def pedantic(self, fn, args=(), kwargs=None, rounds=1, iterations=1):
         return fn(*args, **(kwargs or {}))
 
 
-def pytest_configure(config):
-    # The pytest-benchmark plugin, when installed, brings its own fixture.
-    if not config.pluginmanager.hasplugin("benchmark"):
-        config.pluginmanager.register(_SingleShot(), "single-shot-benchmark")
+@pytest.fixture
+def benchmark():
+    # The pytest addopts in pyproject.toml pass `-p no:benchmark`: the
+    # pytest-benchmark plugin rejects any other `benchmark` fixture, and
+    # blocking it gives the benches this one path whether or not it is
+    # installed.
+    return _SingleShot()
 
 
 @pytest.fixture
