@@ -50,6 +50,9 @@ class TestGoldenEventOrder:
     def test_hotc_paths_match_golden(self):
         check_golden("hotc_paths", scenarios.scenario_hotc_paths())
 
+    def test_metric_output_matches_golden(self):
+        check_golden("metrics", scenarios.scenario_metrics())
+
 
 class TestEngineSelfConsistency:
     """Invariants that hold regardless of golden freshness."""
