@@ -157,7 +157,7 @@ def cmd_report(args) -> int:
         jitter_sigma=0.05,
     )
     observatory = Observatory()
-    platform.attach_observatory(observatory)
+    platform.sim.obs = observatory
     snapshotter = Snapshotter(
         platform.sim, observatory, period_ms=args.snapshot_ms
     )

@@ -160,8 +160,6 @@ class AdmissionController:
         self._browned_out: set = set()
         self._shutdown = False
         self._last_tick = -_INF
-        #: Optional observatory; ``None`` keeps every hook inert.
-        self.obs = None
 
     # -- wiring -----------------------------------------------------------
     def bind(self, sim) -> None:
@@ -325,7 +323,7 @@ class AdmissionController:
         if now <= self._last_tick:
             return
         self._last_tick = now
-        obs = self.obs
+        obs = self.sim.obs
         for name in sorted(self._states):
             state = self._states[name]
             state.limiter.tick()
@@ -412,8 +410,9 @@ class AdmissionController:
         self.stats.admitted += 1
         if queued:
             self.stats.admitted_queued += 1
-        if self.obs is not None:
-            self.obs.emit(
+        obs = self.sim.obs
+        if obs is not None:
+            obs.emit(
                 EventKind.ADMIT,
                 t=self.sim.now,
                 key=spec.name,
@@ -425,36 +424,25 @@ class AdmissionController:
         trace.outcome = RequestOutcome.SHED
         trace.shed_reason = reason
         self.stats.shed[reason] = self.stats.shed.get(reason, 0) + 1
-        if self.obs is not None:
-            self.obs.emit(
-                EventKind.SHED,
-                t=self.sim.now,
-                key=spec.name,
-                reason=reason,
-                qos=spec.qos,
+        obs = self.sim.obs
+        if obs is not None:
+            obs.record(
+                EventKind.SHED, self.sim.now, "requests_shed_total",
+                "Requests rejected by admission control, by reason",
+                {"function": spec.name, "reason": reason}, key=spec.name,
+                reason=reason, qos=spec.qos,
             )
-            self.obs.counter(
-                "requests_shed_total",
-                help="Requests rejected by admission control, by reason",
-                function=spec.name,
-                reason=reason,
-            ).inc()
         return False
 
     def _deadline_miss(self, spec: FunctionSpec, trace: RequestTrace) -> bool:
         trace.outcome = RequestOutcome.DEADLINE
         self.stats.deadline_misses += 1
-        if self.obs is not None:
-            self.obs.emit(
-                EventKind.DEADLINE_MISS,
-                t=self.sim.now,
-                key=spec.name,
+        obs = self.sim.obs
+        if obs is not None:
+            obs.record(
+                EventKind.DEADLINE_MISS, self.sim.now, "deadline_misses_total",
+                "Requests terminated against their deadline",
+                {"function": spec.name, "where": "queued"}, key=spec.name,
                 where="queued",
             )
-            self.obs.counter(
-                "deadline_misses_total",
-                help="Requests terminated against their deadline",
-                function=spec.name,
-                where="queued",
-            ).inc()
         return False

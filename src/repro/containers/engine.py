@@ -134,8 +134,6 @@ class ContainerEngine:
         self.pull_strategy = pull_strategy
         #: Optional fault injector (``FaultPlan.install`` attaches one).
         self.fault_injector = None
-        #: Optional observatory; ``None`` keeps every hook inert.
-        self.obs = None
         self._containers: Dict[str, Container] = {}
         #: Live (RUNNING or EXECUTING) containers by id, kept at the
         #: FSM's edges: a container enters when its boot reaches
@@ -189,15 +187,6 @@ class ContainerEngine:
         ``None`` to detach it again.
         """
         self.fault_injector = injector
-
-    # -- observability hooks -------------------------------------------------
-    def attach_observatory(self, observatory) -> None:
-        """Install a :class:`~repro.obs.Observatory` (``None`` detaches).
-
-        Boot start/end events and boot-duration histograms are recorded
-        from then on; detached, every hook costs one ``is None`` check.
-        """
-        self.obs = observatory
 
     @property
     def is_down(self) -> bool:
@@ -272,7 +261,7 @@ class ContainerEngine:
         uses: the init cost is paid here, off any request's critical
         path, instead of on the first exec.
         """
-        obs = self.obs
+        obs = self.sim.obs
         if obs is None:
             return (yield from self._boot_container(config, warm_runtime))
         started = self.sim.now
@@ -286,31 +275,19 @@ class ContainerEngine:
         try:
             container = yield from self._boot_container(config, warm_runtime)
         except Exception as error:
-            obs.emit(
-                EventKind.BOOT_END,
-                t=self.sim.now,
-                host=self.name,
-                key=config.image,
-                ok=False,
-                error=type(error).__name__,
+            obs.record(
+                EventKind.BOOT_END, self.sim.now, "boot_failures_total",
+                "Boots that raised instead of returning a container",
+                {"host": self.name}, host=self.name, key=config.image,
+                ok=False, error=type(error).__name__,
             )
-            obs.counter(
-                "boot_failures_total",
-                help="Boots that raised instead of returning a container",
-                host=self.name,
-            ).inc()
             raise
-        obs.emit(
-            EventKind.BOOT_END,
-            t=self.sim.now,
-            host=self.name,
-            key=config.image,
-            ok=True,
+        obs.record(
+            EventKind.BOOT_END, self.sim.now, "boots_total",
+            "Completed container boots", {"host": self.name},
+            host=self.name, key=config.image, ok=True,
             container=container.container_id,
         )
-        obs.counter(
-            "boots_total", help="Completed container boots", host=self.name
-        ).inc()
         obs.histogram(
             "boot_duration_ms",
             help="Wall time of a full cold boot",

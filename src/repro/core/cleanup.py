@@ -33,8 +33,6 @@ class CleanupWorker:
         self.engine = engine
         self.pool = pool
         self.cleaned = 0
-        #: Optional observatory; ``None`` keeps the hooks inert.
-        self.obs = None
         #: The owner's container health plane, if any: every container
         #: that leaves the pool through :meth:`forget` loses its record.
         self.health = None
@@ -64,20 +62,16 @@ class CleanupWorker:
         if not self.pool.is_available(container):
             self.pool.release(container, now=self.sim.now)
         self.cleaned += 1
-        if self.obs is not None:
-            self.obs.emit(
-                EventKind.CLEANUP,
-                t=self.sim.now,
-                host=self.engine.name,
-                key=container.config.image,
+        obs = self.sim.obs
+        if obs is not None:
+            host = self.engine.name
+            obs.record(
+                EventKind.CLEANUP, self.sim.now, "cleanups_total",
+                "Algorithm 2 runs (volume wipe + recycle)", {"host": host},
+                host=host, key=container.config.image,
                 container=container.container_id,
                 duration_ms=self.sim.now - started,
             )
-            self.obs.counter(
-                "cleanups_total",
-                help="Algorithm 2 runs (volume wipe + recycle)",
-                host=self.engine.name,
-            ).inc()
         return container
 
     def retire(self, container: Container) -> Generator:

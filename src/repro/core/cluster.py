@@ -93,8 +93,6 @@ class ClusterHotC(RuntimeProvider):
         self._rr_next = 0
         #: Host indexes currently believed down (outage in progress).
         self._down: set = set()
-        #: Optional observatory; ``None`` keeps the hooks inert.
-        self.obs = None
         #: Optional shared admission controller (attach_admission).
         self.admission = None
         #: Optional health monitor; ``None`` keeps routing decisions
@@ -105,18 +103,6 @@ class ClusterHotC(RuntimeProvider):
         self.recovery = None
         #: True between crash_control_plane() and recover_from().
         self._crashed = False
-
-    def attach_observatory(self, observatory) -> None:
-        """Wire one shared observatory through every host.
-
-        Per-host series stay distinguishable via the ``host`` label each
-        hook stamps; the cluster itself records failover events.
-        """
-        self.obs = observatory
-        for host in self.hosts:
-            host.attach_observatory(observatory)
-        if self.health is not None:
-            self.health.attach_observatory(observatory)
 
     def attach_admission(self, controller) -> None:
         """Wire one shared admission controller through every host.
@@ -142,8 +128,6 @@ class ClusterHotC(RuntimeProvider):
         self.health = monitor
         if monitor is None:
             return
-        if self.obs is not None:
-            monitor.attach_observatory(self.obs)
         for host in self.hosts:
             monitor.register_host(
                 host.engine.name, host.engine, on_drain=host.drain_lost
@@ -203,18 +187,15 @@ class ClusterHotC(RuntimeProvider):
             engine = self.hosts[index].engine
             if not engine.is_unreachable:
                 self._down.discard(index)
-                if self.obs is not None:
-                    self.obs.emit(
-                        EventKind.HOST_RECOVERED,
-                        t=self.sim.now,
-                        host=engine.name,
+                obs = self.sim.obs
+                if obs is not None:
+                    obs.record(
+                        EventKind.HOST_RECOVERED, self.sim.now,
+                        "hosts_recovered_total",
+                        "Hosts rejoining the candidate set after an outage",
+                        {"host": engine.name}, host=engine.name,
                         state="rejoined",
                     )
-                    self.obs.counter(
-                        "hosts_recovered_total",
-                        help="Hosts rejoining the candidate set after an outage",
-                        host=engine.name,
-                    ).inc()
 
     def _note_host_down(self, index: int) -> None:
         """Record an outage and drain the dead host's pool metadata.
@@ -348,19 +329,14 @@ class ClusterHotC(RuntimeProvider):
                 self._by_container[container.container_id] = index
                 return container, cold
             self.stats.failovers += 1
-            if self.obs is not None:
+            obs = self.sim.obs
+            if obs is not None:
                 host = self.hosts[index].engine.name
-                self.obs.emit(
-                    EventKind.FAILOVER,
-                    t=self.hosts[index].sim.now,
-                    host=host,
-                    reason=reason,
+                obs.record(
+                    EventKind.FAILOVER, self.sim.now, "failovers_total",
+                    "Requests re-routed off a failed host", {"host": host},
+                    host=host, reason=reason,
                 )
-                self.obs.counter(
-                    "failovers_total",
-                    help="Requests re-routed off a failed host",
-                    host=host,
-                ).inc()
 
     def _dec_inflight(self, index: int) -> None:
         count = self._inflight[index] - 1

@@ -185,8 +185,6 @@ class HotC(RuntimeProvider):
             if self.config.repurpose
             else None
         )
-        #: Optional observatory; ``None`` keeps every hook inert.
-        self.obs = None
         #: Optional admission controller; ``None`` keeps overload
         #: protection (brownout, AIMD tick) fully inert.
         self.admission = None
@@ -205,7 +203,7 @@ class HotC(RuntimeProvider):
         #: *host* health monitor.
         self.container_health: Optional[ContainerHealthPlane] = (
             ContainerHealthPlane(
-                self.config.container_health, host=engine.name
+                self.config.container_health, self.sim, host=engine.name
             )
             if self.config.container_health is not None
             else None
@@ -227,21 +225,6 @@ class HotC(RuntimeProvider):
     def key_of(self, config: ContainerConfig) -> RuntimeKey:
         """Parameter analysis: config → runtime key."""
         return runtime_key(config, self.config.key_policy)
-
-    def attach_observatory(self, observatory) -> None:
-        """Wire the telemetry layer through this host (``None`` detaches).
-
-        Attaches the observatory to the engine (boot events), the pool
-        (hit/miss, labelled with this host's name) and the cleanup
-        worker, and records eviction/prewarm/breaker/control-tick events
-        from the middleware itself.
-        """
-        self.obs = observatory
-        self.engine.attach_observatory(observatory)
-        self.pool.attach_observatory(observatory, host=self.engine.name)
-        self.cleanup.obs = observatory
-        if self.container_health is not None:
-            self.container_health.obs = observatory
 
     def attach_admission(self, controller) -> None:
         """Wire overload protection through this host (``None`` detaches).
@@ -337,14 +320,31 @@ class HotC(RuntimeProvider):
 
         Containers can be killed out from under the pool (host OOM,
         crash injection in tests); a dead entry must not be handed to a
-        request.
+        request.  The observatory records each lookup as the pool
+        answered it, so it keeps a dead entry's hit that the pool's
+        stats un-count.
         """
+        obs = self.sim.obs
         while True:
             container = self.pool.acquire(key, now=self.sim.now)
+            if obs is not None:
+                host = self.engine.name
+                if container is None:
+                    obs.record(
+                        EventKind.POOL_MISS, self.sim.now, "pool_misses_total",
+                        "Acquires that fell through to a cold boot",
+                        {"host": host, "key": str(key)}, host=host, key=str(key),
+                    )
+                else:
+                    obs.record(
+                        EventKind.POOL_HIT, self.sim.now, "pool_hits_total",
+                        "Acquires served by a pooled warm container",
+                        {"host": host, "key": str(key)}, host=host, key=str(key),
+                    )
             if container is None or container.is_reusable:
                 return container
             # Not a real hit: un-count it so the retry is the only
-            # lookup recorded and hit_ratio stays honest.
+            # lookup in the pool's stats and hit_ratio stays honest.
             self.cleanup.discard_dead(container)
 
     def _donor_acquire_healthy(
@@ -357,10 +357,19 @@ class HotC(RuntimeProvider):
         requesting key's miss was already counted, so the donor key
         must record neither a hit nor a second miss.
         """
+        obs = self.sim.obs
         while True:
             container = self.pool.acquire_donor(key, now=self.sim.now, reuse=reuse)
             if container is None:
                 return None
+            if obs is not None and reuse == "relaxed":
+                host = self.engine.name
+                obs.record(
+                    EventKind.POOL_RELAXED_HIT, self.sim.now,
+                    "pool_relaxed_hits_total",
+                    "Acquires served by reconfiguring a relaxed-key match",
+                    {"host": host, "key": str(key)}, host=host, key=str(key),
+                )
             if container.is_reusable:
                 # Lease immediately: the re-spec yield that follows is a
                 # window where a concurrent recovery sweep must see this
@@ -488,16 +497,15 @@ class HotC(RuntimeProvider):
                             continue
                         cost += sanitize_ms
             self._adopt_donor(container, key, config, reuse, cost)
-            if reuse == "repurpose" and self.obs is not None:
-                self._emit(
-                    EventKind.REPURPOSE,
-                    "pool_repurposes_total",
+            obs = self.sim.obs
+            if reuse == "repurpose" and obs is not None:
+                host = self.engine.name
+                obs.record(
+                    EventKind.REPURPOSE, self.sim.now, "pool_repurposes_total",
                     "Acquires served by re-specializing an idle donor",
-                    key=str(key),
-                    donor=str(donor_key),
-                    container=container.container_id,
-                    score=round(score, 4),
-                    cost_ms=round(cost, 3),
+                    {"host": host}, host=host, key=str(key),
+                    donor=str(donor_key), container=container.container_id,
+                    score=round(score, 4), cost_ms=round(cost, 3),
                 )
             return container
         return None
@@ -574,13 +582,13 @@ class HotC(RuntimeProvider):
         """Per-key callback recording breaker state changes."""
 
         def hook(old: str, new: str) -> None:
-            if self.obs is not None:
-                self._emit(
-                    EventKind.BREAKER,
-                    "breaker_transitions_total",
+            obs = self.sim.obs
+            if obs is not None:
+                host = self.engine.name
+                obs.record(
+                    EventKind.BREAKER, self.sim.now, "breaker_transitions_total",
                     "Circuit-breaker state changes by target state",
-                    {"to": new},
-                    key=str(key),
+                    {"host": host, "to": new}, host=host, key=str(key),
                     **{"from": old, "to": new},
                 )
 
@@ -591,25 +599,14 @@ class HotC(RuntimeProvider):
         if breaker.record_failure(self.sim.now):
             self.engine.stats.breaker_opens += 1
 
-    def _emit(
-        self, kind: EventKind, counter: str, help: str,
-        labels: Optional[dict] = None, **data,
-    ) -> None:
-        """Record one event and bump its per-host counter (``obs`` set)."""
+    def _record_evict(self, obs, entry, reason: str) -> None:
+        """Record one pool eviction into ``obs``."""
         host = self.engine.name
-        self.obs.emit(kind, t=self.sim.now, host=host, **data)
-        self.obs.counter(counter, help=help, host=host, **(labels or {})).inc()
-
-    def _emit_evict(self, entry, reason: str) -> None:
-        """Record one pool eviction (caller checked ``obs`` is set)."""
-        self._emit(
-            EventKind.POOL_EVICT,
-            "pool_evictions_total",
+        obs.record(
+            EventKind.POOL_EVICT, self.sim.now, "pool_evictions_total",
             "Idle containers evicted, by reason",
-            {"reason": reason},
-            key=str(entry.key),
-            container=entry.container.container_id,
-            reason=reason,
+            {"host": host, "reason": reason}, host=host, key=str(entry.key),
+            container=entry.container.container_id, reason=reason,
         )
 
     def _backoff_ms(self, attempt: int) -> float:
@@ -858,9 +855,7 @@ class HotC(RuntimeProvider):
         self._recycle_queue.clear()
         if self.container_health is not None:
             self.container_health = ContainerHealthPlane(
-                self.config.container_health,
-                obs=self.obs,
-                host=self.engine.name,
+                self.config.container_health, self.sim, host=self.engine.name
             )
             self.cleanup.health = self.container_health
         return lost
@@ -1111,8 +1106,9 @@ class HotC(RuntimeProvider):
                 stats.evictions_capacity += 1
             else:
                 stats.evictions_pressure += 1
-            if self.obs is not None:
-                self._emit_evict(victim, reason)
+            obs = self.sim.obs
+            if obs is not None:
+                self._record_evict(obs, victim, reason)
             yield from self.cleanup.retire(victim.container)
 
     # -- adaptive control loop ------------------------------------------------
@@ -1150,7 +1146,7 @@ class HotC(RuntimeProvider):
         if self._crashed:
             # Control-plane crash window: no prediction, no resize.
             return
-        obs = self.obs
+        obs = self.sim.obs
         admission = self.admission
         if admission is not None:
             self._update_brownout()
@@ -1236,14 +1232,16 @@ class HotC(RuntimeProvider):
         if not transition:
             return
         active = transition == "enter"
-        self.admission.set_brownout(self.engine.name, active)
-        if self.obs is not None:
-            self._emit(
+        host = self.engine.name
+        self.admission.set_brownout(host, active)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.record(
                 EventKind.BROWNOUT_ENTER if active else EventKind.BROWNOUT_EXIT,
-                "brownout_transitions_total",
+                self.sim.now, "brownout_transitions_total",
                 "Brownout state changes by direction",
-                {"to": "active" if active else "clear"},
-                mem_fraction=round(resources.mem_fraction, 4),
+                {"host": host, "to": "active" if active else "clear"},
+                host=host, mem_fraction=round(resources.mem_fraction, 4),
                 cap_tripped=cap_tripped,
             )
 
@@ -1260,9 +1258,10 @@ class HotC(RuntimeProvider):
             # single post-burst forecast dip must not destroy capacity
             # that the next tick would rebuild.
             surplus = min(total - target, max(1, total // 2))
+            obs = self.sim.obs
             for entry in self.pool.available_entries(key)[:surplus]:
-                if self.obs is not None:
-                    self._emit_evict(entry, "scale_down")
+                if obs is not None:
+                    self._record_evict(obs, entry, "scale_down")
                 # Claim the victim synchronously: once the retire process
                 # is merely *scheduled*, an acquire landing before it
                 # runs must not be handed a container about to be
@@ -1288,12 +1287,13 @@ class HotC(RuntimeProvider):
         config = self._keys[key].config
         self._note_pending(key, +1, prewarm=True)
         epoch = self._prewarm_epoch
-        if self.obs is not None:
-            self._emit(
-                EventKind.PREWARM,
-                "prewarms_total",
+        obs = self.sim.obs
+        if obs is not None:
+            host = self.engine.name
+            obs.record(
+                EventKind.PREWARM, self.sim.now, "prewarms_total",
                 "Predictive pre-boots requested by the control loop",
-                key=str(key),
+                {"host": host}, host=host, key=str(key),
             )
 
         def _boot() -> Generator:

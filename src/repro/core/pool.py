@@ -59,7 +59,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.containers.container import Container
 from repro.core.keys import RuntimeKey
-from repro.obs.events import EventKind
 
 __all__ = [
     "ContainerRuntimePool",
@@ -197,10 +196,6 @@ class ContainerRuntimePool:
         self.limits = limits
         self.eviction = eviction
         self.stats = PoolStats()
-        #: Optional observatory; ``None`` keeps the acquire hook inert
-        #: (one pointer comparison on the ~50µs hot path).
-        self.obs = None
-        self._obs_host = ""
         self._entries: Dict[RuntimeKey, Dict[str, PoolEntry]] = {}
         self._by_container: Dict[str, PoolEntry] = {}
         #: Per-key ``[available, total]`` counters (never recounted).
@@ -231,16 +226,6 @@ class ContainerRuntimePool:
             self._evict_primary = lambda e: e.last_used_at
         else:  # largest
             self._evict_primary = lambda e: -e.container.config.mem_mb
-
-    # -- observability hooks -------------------------------------------------
-    def attach_observatory(self, observatory, host: str = "") -> None:
-        """Record hit/miss events and counters (``None`` detaches).
-
-        ``host`` labels this pool's series when several hosts share one
-        observatory.
-        """
-        self.obs = observatory
-        self._obs_host = host
 
     # -- the paper's views --------------------------------------------------
     def state_of(self, key: RuntimeKey) -> int:
@@ -293,30 +278,10 @@ class ContainerRuntimePool:
                 # Items were popped tail-first (ascending seq), so the
                 # reverse re-extends the list in sorted order.
                 avail.extend(reversed(skipped))
-            if self.obs is not None:
-                self.obs.emit(
-                    EventKind.POOL_HIT, t=now, host=self._obs_host, key=str(key)
-                )
-                self.obs.counter(
-                    "pool_hits_total",
-                    help="Acquires served by a pooled warm container",
-                    host=self._obs_host,
-                    key=str(key),
-                ).inc()
             return entry.container
         if skipped:
             avail.extend(reversed(skipped))
         self.stats.misses += 1
-        if self.obs is not None:
-            self.obs.emit(
-                EventKind.POOL_MISS, t=now, host=self._obs_host, key=str(key)
-            )
-            self.obs.counter(
-                "pool_misses_total",
-                help="Acquires that fell through to a cold boot",
-                host=self._obs_host,
-                key=str(key),
-            ).inc()
         return None
 
     def acquire_donor(
@@ -358,19 +323,6 @@ class ContainerRuntimePool:
                 self.stats.relaxed_hits += 1
             else:
                 self.stats.repurposed += 1
-            if self.obs is not None and reuse == "relaxed":
-                self.obs.emit(
-                    EventKind.POOL_RELAXED_HIT,
-                    t=now,
-                    host=self._obs_host,
-                    key=str(key),
-                )
-                self.obs.counter(
-                    "pool_relaxed_hits_total",
-                    help="Acquires served by reconfiguring a relaxed-key match",
-                    host=self._obs_host,
-                    key=str(key),
-                ).inc()
             return entry.container
         if skipped:
             avail.extend(reversed(skipped))

@@ -47,16 +47,9 @@ class Gateway:
         self._slots = sim.resource(concurrency, name="gateway")
         self.inflight_peak = 0
         self.queue_depth_peak = 0
-        #: Optional observatory; ``None`` keeps the hooks inert.
-        self.obs = None
         #: Optional admission controller; ``None`` keeps the gateway's
         #: behaviour bit-identical to the pre-admission pipeline.
         self.admission = None
-
-    def attach_observatory(self, observatory) -> None:
-        """Record request outcomes and end-to-end latency histograms."""
-        self.obs = observatory
-        self.watchdog.attach_observatory(observatory)
 
     @property
     def inflight(self) -> int:
@@ -121,26 +114,18 @@ class Gateway:
         client — plus the terminal observability records."""
         yield self.sim.timeout(latency.faas_stage("gateway_to_client"))
         trace.t6_client_recv = self.sim.now
-        if self.obs is not None:
+        obs = self.sim.obs
+        if obs is not None:
             outcome = trace.outcome.value
             host = self.engine.name
-            self.obs.emit(
-                EventKind.REQUEST_DONE,
-                t=trace.t6_client_recv,
-                host=host,
-                key=spec.name,
-                outcome=outcome,
-                cold_start=trace.cold_start,
-                retries=trace.retries,
+            obs.record(
+                EventKind.REQUEST_DONE, trace.t6_client_recv, "requests_total",
+                "Requests by terminal outcome",
+                {"host": host, "function": spec.name, "outcome": outcome},
+                host=host, key=spec.name, outcome=outcome,
+                cold_start=trace.cold_start, retries=trace.retries,
             )
-            self.obs.counter(
-                "requests_total",
-                help="Requests by terminal outcome",
-                host=host,
-                function=spec.name,
-                outcome=outcome,
-            ).inc()
-            self.obs.histogram(
+            obs.histogram(
                 "request_latency_ms",
                 help="End-to-end client latency (moments 0 to 6)",
                 host=host,

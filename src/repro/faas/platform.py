@@ -163,23 +163,6 @@ class FaasPlatform:
         """The first gateway instance (compatibility accessor)."""
         return self.gateways[0]
 
-    # -- observability -----------------------------------------------------
-    def attach_observatory(self, observatory) -> None:
-        """Wire one observatory through the whole platform.
-
-        Attaches to the engine, every gateway (and its watchdog) and —
-        when the provider supports it (HotC, ClusterHotC) — the provider
-        and everything underneath.  Pass ``None`` to detach everywhere.
-        """
-        self.engine.attach_observatory(observatory)
-        for gateway in self.gateways:
-            gateway.attach_observatory(observatory)
-        attach = getattr(self.provider, "attach_observatory", None)
-        if attach is not None:
-            attach(observatory)
-        if self.admission is not None:
-            self.admission.obs = observatory
-
     def attach_admission(self, controller) -> None:
         """Wire overload protection through the whole platform.
 
@@ -195,8 +178,6 @@ class FaasPlatform:
         attach = getattr(self.provider, "attach_admission", None)
         if attach is not None:
             attach(controller)
-        if self.gateway.obs is not None:
-            controller.obs = self.gateway.obs
 
     # -- deployment -------------------------------------------------------
     def deploy(self, spec: FunctionSpec) -> None:

@@ -49,12 +49,6 @@ class Watchdog:
         self.engine = engine
         self.provider = provider
         self.max_retries = max_retries
-        #: Optional observatory; ``None`` keeps the hooks inert.
-        self.obs = None
-
-    def attach_observatory(self, observatory) -> None:
-        """Record retry and failure counters (``None`` detaches)."""
-        self.obs = observatory
 
     def handle(self, spec: FunctionSpec, trace: RequestTrace) -> Generator:
         """Process: moments (2)..(5) of the request pipeline."""
@@ -96,8 +90,9 @@ class Watchdog:
                     return trace
                 attempts += 1
                 self.engine.stats.request_retries += 1
-                if self.obs is not None:
-                    self.obs.counter(
+                obs = self.sim.obs
+                if obs is not None:
+                    obs.counter(
                         "request_retries_total",
                         help="Request-level retries after container failures",
                         host=self.engine.name,
@@ -155,16 +150,17 @@ class Watchdog:
             self.engine.stats.requests_deadline += 1
         else:
             self.engine.stats.requests_failed += 1
-        if self.obs is not None:
+        obs = self.sim.obs
+        if obs is not None:
             if outcome is RequestOutcome.DEADLINE:
-                self.obs.counter(
+                obs.counter(
                     "deadline_misses_total",
                     help="Requests terminated against their deadline",
                     function=trace.function,
                     where="retry",
                 ).inc()
             else:
-                self.obs.counter(
+                obs.counter(
                     "requests_failed_total",
                     help="Requests that exhausted retries",
                     host=self.engine.name,

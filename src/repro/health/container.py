@@ -27,8 +27,9 @@ The per-container crash-loop breaker is a
 per-key breakers: the per-key breaker protects the boot path of a
 runtime type, this one condemns an individual contaminated container.
 
-Everything here is pure bookkeeping — no RNG, no simulator events — so
-an attached-but-unused plane cannot perturb a run.  The plane is only
+Everything here is pure bookkeeping — no RNG, no simulator events (the
+plane reads the simulator only for its observatory) — so an
+attached-but-unused plane cannot perturb a run.  The plane is only
 constructed when ``HotCConfig.container_health`` is set.
 """
 
@@ -49,6 +50,14 @@ __all__ = [
     "ContainerHealthPlane",
 ]
 
+
+#: Cooldown of the per-container crash-loop breaker (quarantine is
+#: terminal, so this only shapes the breaker's internal bookkeeping).
+CONTAINER_BREAKER_COOLDOWN_MS = 60_000.0
+
+#: The counter every container lifecycle transition bumps.
+_TRANSITIONS_TOTAL = "container_lifecycle_transitions_total"
+_TRANSITIONS_HELP = "Container health-plane lifecycle transitions"
 
 _CONDITION_CODES = {
     "FRESH": 0,
@@ -111,9 +120,6 @@ class ContainerHealthConfig:
     #: Exec failures before the per-container crash-loop breaker opens
     #: and the container is quarantined.
     breaker_threshold: int = 1
-    #: Cooldown of the per-container breaker (quarantine is terminal,
-    #: so this only shapes the breaker's internal bookkeeping).
-    breaker_cooldown_ms: float = 60_000.0
     #: Token-bucket recycle rate limit: sustained recycles per second...
     recycle_rate_per_s: float = 2.0
     #: ...and the burst the bucket can accumulate.
@@ -141,8 +147,6 @@ class ContainerHealthConfig:
             raise ValueError("rss_limit_mb must be > 0")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown_ms <= 0:
-            raise ValueError("breaker_cooldown_ms must be > 0")
         if self.recycle_rate_per_s <= 0:
             raise ValueError("recycle_rate_per_s must be > 0")
         if self.recycle_burst < 1:
@@ -167,7 +171,7 @@ class ContainerHealth:
         #: boot breakers).
         self.breaker = CircuitBreaker(
             threshold=config.breaker_threshold,
-            cooldown_ms=config.breaker_cooldown_ms,
+            cooldown_ms=CONTAINER_BREAKER_COOLDOWN_MS,
         )
         #: ``(now, old, new)`` transition log.
         self.transitions: List[Tuple[float, ContainerCondition, ContainerCondition]] = []
@@ -195,13 +199,10 @@ class ContainerHealthPlane:
     """
 
     def __init__(
-        self,
-        config: ContainerHealthConfig,
-        obs=None,
-        host: str = "",
+        self, config: ContainerHealthConfig, sim, host: str = ""
     ) -> None:
         self.config = config
-        self.obs = obs
+        self.sim = sim
         self.host = host
         self._records: Dict[str, ContainerHealth] = {}
         #: Per-key EWMA baseline of successful exec latency (ms).
@@ -354,9 +355,15 @@ class ContainerHealthPlane:
         record.transition_to(ContainerCondition.SUSPECT, now)
         container.tainted = True
         self.suspects += 1
-        self._emit(
-            EventKind.CONTAINER_SUSPECT, container, record, now, reason
-        )
+        obs = self.sim.obs
+        if obs is not None:
+            to = record.state.value
+            obs.record(
+                EventKind.CONTAINER_SUSPECT, now, _TRANSITIONS_TOTAL, _TRANSITIONS_HELP,
+                {"host": self.host, "to": to}, host=self.host,
+                key=str(record.key), container=container.container_id,
+                state=to, reason=reason,
+            )
 
     def condemn(
         self,
@@ -374,9 +381,15 @@ class ContainerHealthPlane:
         container.tainted = True
         container.condemned = True
         self.quarantines += 1
-        self._emit(
-            EventKind.CONTAINER_QUARANTINED, container, record, now, reason
-        )
+        obs = self.sim.obs
+        if obs is not None:
+            to = record.state.value
+            obs.record(
+                EventKind.CONTAINER_QUARANTINED, now, _TRANSITIONS_TOTAL, _TRANSITIONS_HELP,
+                {"host": self.host, "to": to}, host=self.host,
+                key=str(record.key), container=container.container_id,
+                state=to, reason=reason,
+            )
 
     def note_recycling(
         self, container: Container, now: float, reason: str
@@ -386,31 +399,13 @@ class ContainerHealthPlane:
         if record is not None:
             record.transition_to(ContainerCondition.RECYCLING, now)
         self.recycles += 1
-        self._emit(EventKind.CONTAINER_RECYCLED, container, record, now, reason)
-
-    def _emit(
-        self,
-        kind: EventKind,
-        container: Container,
-        record: Optional[ContainerHealth],
-        now: float,
-        reason: str,
-    ) -> None:
-        if self.obs is None:
-            return
-        state = record.state if record is not None else ContainerCondition.RECYCLING
-        self.obs.emit(
-            kind,
-            t=now,
-            host=self.host,
-            key=str(record.key) if record is not None else "",
-            container=container.container_id,
-            state=state.value,
-            reason=reason,
-        )
-        self.obs.counter(
-            "container_lifecycle_transitions_total",
-            help="Container health-plane lifecycle transitions",
-            host=self.host,
-            to=state.value,
-        ).inc()
+        obs = self.sim.obs
+        if obs is not None:
+            to = ContainerCondition.RECYCLING.value
+            obs.record(
+                EventKind.CONTAINER_RECYCLED, now, _TRANSITIONS_TOTAL,
+                _TRANSITIONS_HELP, {"host": self.host, "to": to},
+                host=self.host,
+                key=str(record.key) if record is not None else "",
+                container=container.container_id, state=to, reason=reason,
+            )

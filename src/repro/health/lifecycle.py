@@ -33,6 +33,20 @@ from repro.health.detector import PhiAccrualDetector
 
 __all__ = ["HealthConfig", "HostHealth", "HostState"]
 
+#: Heartbeat period each host's pump simulates.
+HEARTBEAT_INTERVAL_MS = 500.0
+#: phi threshold that turns HEALTHY into SUSPECT.
+SUSPECT_PHI = 1.5
+#: phi threshold that turns SUSPECT into QUARANTINED.
+QUARANTINE_PHI = 5.0
+#: phi threshold past which a QUARANTINED host is presumed lost and
+#: drained (its pool metadata dropped, pending prewarms absorbed).
+DRAIN_PHI = 12.0
+#: Consecutive clean evaluations a SUSPECT host needs to rejoin HEALTHY
+#: directly (it never stopped heartbeating hard enough to be
+#: quarantined, so no probation ramp is needed).
+RECOVER_EVALS = 3
+
 
 class HostState(enum.Enum):
     """Lifecycle states; ``code`` feeds the per-host gauge."""
@@ -67,40 +81,19 @@ _STATE_CODES = {
 class HealthConfig:
     """Tunables of the monitor and its per-host detectors."""
 
-    #: Heartbeat period each host's pump simulates.
-    heartbeat_interval_ms: float = 500.0
     #: Detector window and deviation floor (see PhiAccrualDetector).
     window: int = 64
     min_std_ms: float = 200.0
-    #: phi threshold that turns HEALTHY into SUSPECT.
-    suspect_phi: float = 1.5
-    #: phi threshold that turns SUSPECT into QUARANTINED.
-    quarantine_phi: float = 5.0
-    #: phi threshold past which a QUARANTINED host is presumed lost and
-    #: drained (its pool metadata dropped, pending prewarms absorbed).
-    drain_phi: float = 12.0
     #: A host whose learned mean heartbeat interval exceeds
-    #: ``slow_factor * heartbeat_interval_ms`` is treated as gray-slow
+    #: ``slow_factor * HEARTBEAT_INTERVAL_MS`` is treated as gray-slow
     #: (suspect) even when individual heartbeats keep arriving.
     slow_factor: float = 2.0
-    #: Consecutive clean evaluations a SUSPECT host needs to rejoin
-    #: HEALTHY directly (it never stopped heartbeating hard enough to
-    #: be quarantined, so no probation ramp is needed).
-    recover_evals: int = 3
     #: On-time heartbeats a PROBATION host needs before full weight.
     probation_heartbeats: int = 8
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval_ms <= 0:
-            raise ValueError("heartbeat_interval_ms must be > 0")
-        if not 0 < self.suspect_phi < self.quarantine_phi < self.drain_phi:
-            raise ValueError(
-                "need 0 < suspect_phi < quarantine_phi < drain_phi"
-            )
         if self.slow_factor <= 1.0:
             raise ValueError("slow_factor must be > 1")
-        if self.recover_evals < 1:
-            raise ValueError("recover_evals must be >= 1")
         if self.probation_heartbeats < 1:
             raise ValueError("probation_heartbeats must be >= 1")
 
@@ -116,7 +109,7 @@ class HostHealth:
         self.detector = PhiAccrualDetector(
             window=config.window,
             min_std_ms=config.min_std_ms,
-            bootstrap_interval_ms=config.heartbeat_interval_ms,
+            bootstrap_interval_ms=HEARTBEAT_INTERVAL_MS,
         )
         #: Consecutive clean evaluations while SUSPECT.
         self.clean_evals = 0
@@ -132,7 +125,7 @@ class HostHealth:
         return (
             self.detector.n_intervals >= 2
             and self.detector.mean_interval_ms
-            > config.slow_factor * config.heartbeat_interval_ms
+            > config.slow_factor * HEARTBEAT_INTERVAL_MS
         )
 
     def routing_weight(self) -> float:

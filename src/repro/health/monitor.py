@@ -2,7 +2,7 @@
 
 One :class:`HealthMonitor` serves a whole cluster.  Each registered
 host gets a simulated heartbeat pump process: every
-``heartbeat_interval_ms`` the pump delivers a heartbeat to the host's
+``HEARTBEAT_INTERVAL_MS`` the pump delivers a heartbeat to the host's
 phi-accrual detector — unless the host is unreachable (outage or
 partition) or its injector says heartbeats are lost, in which case the
 detector sees silence and phi accrues.  A gray-slowed host delivers
@@ -28,7 +28,16 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, Optional
 
-from repro.health.lifecycle import HealthConfig, HostHealth, HostState
+from repro.health.lifecycle import (
+    DRAIN_PHI,
+    HEARTBEAT_INTERVAL_MS,
+    QUARANTINE_PHI,
+    RECOVER_EVALS,
+    SUSPECT_PHI,
+    HealthConfig,
+    HostHealth,
+    HostState,
+)
 from repro.obs.events import EventKind
 
 __all__ = ["HealthMonitor"]
@@ -51,8 +60,6 @@ class HealthMonitor:
         self.config = config or HealthConfig()
         self.hosts: Dict[str, HostHealth] = {}
         self._on_drain: Dict[str, Callable[[], None]] = {}
-        #: Optional observatory; ``None`` keeps the hooks inert.
-        self.obs = None
         self._running = False
         #: Bumped on every start so stale pump processes exit.
         self._generation = 0
@@ -77,10 +84,6 @@ class HealthMonitor:
             self._on_drain[name] = on_drain
         return health
 
-    def attach_observatory(self, observatory) -> None:
-        """Record lifecycle events and gauges (``None`` detaches)."""
-        self.obs = observatory
-
     # -- pump lifecycle ----------------------------------------------------
     def start(self) -> None:
         """Spawn one heartbeat pump per registered host; idempotent."""
@@ -104,7 +107,7 @@ class HealthMonitor:
         self._generation += 1
 
     def _pump(self, health: HostHealth, generation: int) -> Generator:
-        interval = self.config.heartbeat_interval_ms
+        interval = HEARTBEAT_INTERVAL_MS
         while self._running and generation == self._generation:
             yield self.sim.timeout(interval)
             if not self._running or generation != self._generation:
@@ -172,36 +175,35 @@ class HealthMonitor:
 
     def evaluate(self, health: HostHealth, now: float) -> None:
         """One evaluation of the lifecycle machine against phi."""
-        config = self.config
         phi = health.detector.phi(now)
         slow = health.is_slow
         state = health.state
         if state is HostState.HEALTHY:
-            if phi >= config.quarantine_phi:
+            if phi >= QUARANTINE_PHI:
                 self._transition(health, HostState.QUARANTINED)
-            elif phi >= config.suspect_phi or slow:
+            elif phi >= SUSPECT_PHI or slow:
                 self._transition(health, HostState.SUSPECT)
         elif state is HostState.SUSPECT:
-            if phi >= config.quarantine_phi:
+            if phi >= QUARANTINE_PHI:
                 self._transition(health, HostState.QUARANTINED)
-            elif phi < config.suspect_phi and not slow:
+            elif phi < SUSPECT_PHI and not slow:
                 health.clean_evals += 1
-                if health.clean_evals >= config.recover_evals:
+                if health.clean_evals >= RECOVER_EVALS:
                     self._transition(health, HostState.HEALTHY)
             else:
                 health.clean_evals = 0
         elif state is HostState.QUARANTINED:
-            if phi >= config.drain_phi:
+            if phi >= DRAIN_PHI:
                 self._transition(health, HostState.DRAINING)
-            elif phi < config.suspect_phi and not slow:
+            elif phi < SUSPECT_PHI and not slow:
                 self._transition(health, HostState.PROBATION)
         elif state is HostState.DRAINING:
-            if phi < config.suspect_phi and not slow:
+            if phi < SUSPECT_PHI and not slow:
                 self._transition(health, HostState.PROBATION)
         else:  # PROBATION: relapse checks (the ramp runs on heartbeats)
-            if phi >= config.quarantine_phi:
+            if phi >= QUARANTINE_PHI:
                 self._transition(health, HostState.QUARANTINED)
-            elif phi >= config.suspect_phi or slow:
+            elif phi >= SUSPECT_PHI or slow:
                 self._transition(health, HostState.SUSPECT)
 
     def _transition(
@@ -215,21 +217,16 @@ class HealthMonitor:
             hook = self._on_drain.get(health.name)
             if hook is not None:
                 hook()
-        if self.obs is not None:
-            self.obs.emit(
-                _TRANSITION_EVENTS[state],
-                t=now,
-                host=health.name,
-                state=state.value,
-                phi=round(health.detector.phi(now), 3),
-            )
-            self.obs.counter(
+        obs = self.sim.obs
+        if obs is not None:
+            obs.record(
+                _TRANSITION_EVENTS[state], now,
                 "host_lifecycle_transitions_total",
-                help="Host lifecycle state changes by target state",
-                host=health.name,
-                to=state.value,
-            ).inc()
-            self.obs.gauge(
+                "Host lifecycle state changes by target state",
+                {"host": health.name, "to": state.value}, host=health.name,
+                state=state.value, phi=round(health.detector.phi(now), 3),
+            )
+            obs.gauge(
                 "host_lifecycle_state",
                 help=(
                     "Current lifecycle state (0 healthy, 1 suspect, "

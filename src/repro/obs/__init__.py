@@ -1,8 +1,10 @@
 """Observability: metrics registry, event log, exporters, run reports.
 
-See DESIGN.md §7.  Components expose ``attach_observatory``; with no
-observatory attached every hook is a single ``is not None`` check, so
-uninstrumented runs stay bit-identical.
+See DESIGN.md §7.  A run is observed by putting one
+:class:`Observatory` in its simulator's ``obs`` slot
+(``platform.sim.obs = Observatory()``); every instrumented component
+reads it there.  With the slot ``None`` every hook is a single
+``is not None`` check, so uninstrumented runs stay bit-identical.
 """
 
 from repro.obs.events import EventKind, EventLog, ObsEvent, Observatory

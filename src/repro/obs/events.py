@@ -9,14 +9,15 @@ without limit — the ``dropped`` counter says how many early events were
 displaced.
 
 The :class:`Observatory` bundles the event log with a
-:class:`~repro.obs.registry.MetricsRegistry` and is the single object
-components hold (as ``obs``, ``None`` by default).  Hook sites follow
-one idiom::
+:class:`~repro.obs.registry.MetricsRegistry`.  A run holds one, in its
+simulator's ``obs`` slot (``None`` by default).  Hook sites follow one
+idiom::
 
-    if self.obs is not None:
-        self.obs.emit(EventKind.POOL_HIT, t=now, host=..., key=...)
+    obs = self.sim.obs
+    if obs is not None:
+        obs.record(EventKind.CLEANUP, now, "cleanups_total", help, labels, ...)
 
-so an unattached run takes exactly one pointer comparison per hook and
+so an unobserved run takes exactly one pointer comparison per hook and
 allocates nothing.
 """
 
@@ -209,6 +210,25 @@ class Observatory:
                 data=tuple(sorted(data.items())),
             )
         )
+
+    def record(
+        self,
+        kind: EventKind,
+        t: float,
+        counter: str,
+        help: str,
+        labels: Dict[str, object],
+        host: str = "",
+        key: str = "",
+        **data,
+    ) -> None:
+        """Append one event, then bump its counter ``counter{labels}``.
+
+        The counter's labels are given in full: they need not repeat
+        the event's ``host`` or ``key``.
+        """
+        self.emit(kind, t, host, key, **data)
+        self.registry.counter(counter, help=help, **labels).inc()
 
     # -- registry shorthands (keep hook sites one-liners) --------------------
     def counter(self, name: str, **labels):

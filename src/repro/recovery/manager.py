@@ -32,13 +32,16 @@ request traces are unchanged.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.obs.events import EventKind
 from repro.recovery.checkpoint import Checkpoint, CheckpointStore
 
 __all__ = ["RecoveryConfig", "RecoveryManager", "RepairEvent", "RepairKind"]
+
+#: Retained checkpoint versions (older ones age out).
+KEEP_CHECKPOINTS = 3
 
 
 class RepairKind(enum.Enum):
@@ -76,10 +79,6 @@ class RecoveryConfig:
 
     #: Take a checkpoint every this many control ticks.
     checkpoint_every_ticks: int = 5
-    #: Retained checkpoint versions (older ones age out).
-    keep_checkpoints: int = 3
-    #: Run the consistency auditor on every control tick.
-    audit_every_tick: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_every_ticks < 1:
@@ -107,7 +106,7 @@ class RecoveryManager:
         self.provider = provider
         self.sim = provider.sim
         self.config = config or RecoveryConfig()
-        self.store = CheckpointStore(keep=self.config.keep_checkpoints)
+        self.store = CheckpointStore(keep=KEEP_CHECKPOINTS)
         self.stats = RecoveryStats()
         #: Every repair ever performed, in order.
         self.repairs: List[RepairEvent] = []
@@ -123,10 +122,6 @@ class RecoveryManager:
     def crashed(self) -> bool:
         """Whether the control plane is currently down."""
         return bool(self.provider._crashed)
-
-    @property
-    def _obs(self):
-        return getattr(self.provider, "obs", None)
 
     @property
     def _admission(self):
@@ -145,8 +140,7 @@ class RecoveryManager:
             return
         self._last_tick_at = now
         self._ticks += 1
-        if self.config.audit_every_tick:
-            self.audit()
+        self.audit()
         if self._ticks % self.config.checkpoint_every_ticks == 0:
             self.checkpoint(now)
 
@@ -167,18 +161,13 @@ class RecoveryManager:
             limits = admission.export_limits()
         checkpoint = self.store.save(now, hosts, aimd_limits=limits)
         self.stats.checkpoints_taken += 1
-        obs = self._obs
+        obs = self.sim.obs
         if obs is not None:
-            obs.emit(
-                EventKind.CHECKPOINT,
-                t=now,
-                version=checkpoint.version,
-                entries=checkpoint.n_entries,
+            obs.record(
+                EventKind.CHECKPOINT, now, "checkpoints_total",
+                "Control-plane checkpoints taken", {},
+                version=checkpoint.version, entries=checkpoint.n_entries,
             )
-            obs.counter(
-                "checkpoints_total",
-                help="Control-plane checkpoints taken",
-            ).inc()
         return checkpoint
 
     # -- crash / recover (called by the fault plan) ------------------------
@@ -193,15 +182,13 @@ class RecoveryManager:
             # Learned AIMD limits are control-plane memory too.
             admission.reset_limits()
         self.stats.crashes += 1
-        obs = self._obs
+        obs = self.sim.obs
         if obs is not None:
-            obs.emit(
-                EventKind.RECOVERY, t=now, phase="crash", entries_lost=lost
+            obs.record(
+                EventKind.RECOVERY, now, "controller_crashes_total",
+                "Control-plane crashes injected", {},
+                phase="crash", entries_lost=lost,
             )
-            obs.counter(
-                "controller_crashes_total",
-                help="Control-plane crashes injected",
-            ).inc()
         return True
 
     def recover(self) -> List[RepairEvent]:
@@ -225,34 +212,22 @@ class RecoveryManager:
             elif repair.kind is RepairKind.ANOMALY:
                 self.stats.anomalies += 1
         problems = self.verify()
-        obs = self._obs
+        obs = self.sim.obs
         if obs is not None:
-            obs.emit(
-                EventKind.RECOVERY,
-                t=now,
-                phase="recover",
+            obs.record(
+                EventKind.RECOVERY, now, "controller_recoveries_total",
+                "Control-plane recoveries completed", {}, phase="recover",
                 version=checkpoint.version if checkpoint is not None else 0,
-                repairs=len(repairs),
-                unrepaired=len(problems),
+                repairs=len(repairs), unrepaired=len(problems),
             )
-            obs.counter(
-                "controller_recoveries_total",
-                help="Control-plane recoveries completed",
-            ).inc()
             for repair in repairs:
-                obs.emit(
-                    EventKind.REPAIR,
-                    t=now,
-                    action=repair.kind.value,
-                    host=repair.host,
+                obs.record(
+                    EventKind.REPAIR, now, "recovery_repairs_total",
+                    "Anti-entropy repairs by action",
+                    {"action": repair.kind.value}, host=repair.host,
+                    key=repair.key, action=repair.kind.value,
                     container=repair.container_id,
-                    key=repair.key,
                 )
-                obs.counter(
-                    "recovery_repairs_total",
-                    help="Anti-entropy repairs by action",
-                    action=repair.kind.value,
-                ).inc()
         return repairs
 
     def verify(self) -> List[str]:

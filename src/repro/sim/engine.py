@@ -444,12 +444,15 @@ class Store:
 class Simulator:
     """The simulation kernel: clock + event queue + process spawner."""
 
-    __slots__ = ("_queue", "_now", "_step_count")
+    __slots__ = ("_queue", "_now", "_step_count", "obs")
 
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._step_count = 0
+        #: The run's :class:`~repro.obs.Observatory`; every instrumented
+        #: component reads it here, and ``None`` keeps each hook inert.
+        self.obs = None
 
     # -- time -------------------------------------------------------------
     @property

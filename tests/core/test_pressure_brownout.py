@@ -127,7 +127,7 @@ class TestHotCBrownout:
     def test_hysteresis_enter_and_exit(self, browned_platform):
         platform, hotc, ctrl, frac = browned_platform
         obs = Observatory()
-        platform.attach_observatory(obs)
+        platform.sim.obs = obs
 
         frac.value = 0.79
         hotc._update_brownout()

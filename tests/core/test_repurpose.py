@@ -314,7 +314,7 @@ class TestOptInBitIdentical:
         registry = Registry([PY_BASE, go_base])
         platform = make_platform(registry, repurpose=repurpose)
         observatory = Observatory()
-        platform.attach_observatory(observatory)
+        platform.sim.obs = observatory
         platform.deploy(FunctionSpec(name="py", image=PY_BASE.reference, exec_ms=20.0))
         platform.deploy(
             FunctionSpec(

@@ -1,7 +1,7 @@
 """Container health plane: FSM, verdicts, and the HotC recycle loop.
 
 Unit tests drive :class:`ContainerHealthPlane` directly (it is pure
-bookkeeping — no simulator needed); integration tests run a
+bookkeeping on an idle simulator); integration tests run a
 :class:`FaasPlatform` with ``HotCConfig.container_health`` set and
 assert the end-to-end quarantine → token-bucket recycle → paired
 prewarm behavior, plus the strict-opt-in guarantee that an enabled but
@@ -19,6 +19,7 @@ from repro.health import (
     ContainerHealthConfig,
     ContainerHealthPlane,
 )
+from repro.sim import Simulator
 
 
 def make_container(cid="c0", image="python:3.6", created_at=0.0):
@@ -45,7 +46,6 @@ class TestConfigValidation:
             {"leak_slope_mb": 0.0},
             {"rss_limit_mb": -1.0},
             {"breaker_threshold": 0},
-            {"breaker_cooldown_ms": 0.0},
             {"recycle_rate_per_s": 0.0},
             {"recycle_burst": 0},
             {"sanitize_ms": -1.0},
@@ -72,7 +72,9 @@ class TestConfigValidation:
 
 class TestPlaneEvidence:
     def test_fresh_graduates_to_warm(self):
-        plane = ContainerHealthPlane(ContainerHealthConfig(warm_after=2))
+        plane = ContainerHealthPlane(
+            ContainerHealthConfig(warm_after=2), Simulator()
+        )
         container = make_container()
         key = key_for(container)
         container.exec_count = 1
@@ -90,7 +92,8 @@ class TestPlaneEvidence:
         plane = ContainerHealthPlane(
             ContainerHealthConfig(
                 residual_threshold=1.5, suspect_after=2, ewma_alpha=1.0
-            )
+            ),
+            Simulator(),
         )
         container = make_container()
         key = key_for(container)
@@ -116,7 +119,8 @@ class TestPlaneEvidence:
         plane = ContainerHealthPlane(
             ContainerHealthConfig(
                 residual_threshold=1.5, suspect_after=5, ewma_alpha=1.0
-            )
+            ),
+            Simulator(),
         )
         container = make_container()
         key = key_for(container)
@@ -130,7 +134,9 @@ class TestPlaneEvidence:
         assert record.state.serving
 
     def test_rss_limit_condemns_immediately(self):
-        plane = ContainerHealthPlane(ContainerHealthConfig(rss_limit_mb=100.0))
+        plane = ContainerHealthPlane(
+            ContainerHealthConfig(rss_limit_mb=100.0), Simulator()
+        )
         container = make_container()
         container.exec_count = 3
         container.last_exec_ms = 20.0
@@ -142,7 +148,7 @@ class TestPlaneEvidence:
 
     def test_failure_opens_breaker_and_condemns(self):
         plane = ContainerHealthPlane(
-            ContainerHealthConfig(breaker_threshold=1)
+            ContainerHealthConfig(breaker_threshold=1), Simulator()
         )
         container = make_container()
         record = plane.observe_failure(container, key_for(container), now=1.0)
@@ -152,7 +158,7 @@ class TestPlaneEvidence:
 
     def test_failure_threshold_above_one_gives_grace(self):
         plane = ContainerHealthPlane(
-            ContainerHealthConfig(breaker_threshold=2)
+            ContainerHealthConfig(breaker_threshold=2), Simulator()
         )
         container = make_container()
         key = key_for(container)
@@ -164,7 +170,7 @@ class TestPlaneEvidence:
     def test_failure_on_suspect_condemns(self):
         """A failed half-open probe on a SUSPECT container is terminal."""
         plane = ContainerHealthPlane(
-            ContainerHealthConfig(breaker_threshold=3)
+            ContainerHealthConfig(breaker_threshold=3), Simulator()
         )
         container = make_container()
         key = key_for(container)
@@ -177,13 +183,15 @@ class TestPlaneEvidence:
 
 class TestRecycleVerdicts:
     def test_healthy_container_has_no_reason(self):
-        plane = ContainerHealthPlane(ContainerHealthConfig())
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         container.exec_count = 5
         assert plane.recycle_reason(container, now=1_000.0) is None
 
     def test_condemned_wins_over_everything(self):
-        plane = ContainerHealthPlane(ContainerHealthConfig(max_reuses=1))
+        plane = ContainerHealthPlane(
+            ContainerHealthConfig(max_reuses=1), Simulator()
+        )
         container = make_container()
         container.exec_count = 10
         container.tainted = container.condemned = True
@@ -192,20 +200,22 @@ class TestRecycleVerdicts:
     def test_condemned_flag_survives_record_loss(self):
         """The verdict rides on the container, so a control-plane crash
         that wiped the records cannot resurrect a condemned container."""
-        plane = ContainerHealthPlane(ContainerHealthConfig())
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         container.condemned = True
         assert plane.record_of(container) is None
         assert plane.recycle_reason(container, now=0.0) == "quarantined"
 
     def test_tainted_reports_suspect(self):
-        plane = ContainerHealthPlane(ContainerHealthConfig())
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         container.tainted = True
         assert plane.recycle_reason(container, now=0.0) == "suspect"
 
     def test_max_reuses_cap(self):
-        plane = ContainerHealthPlane(ContainerHealthConfig(max_reuses=3))
+        plane = ContainerHealthPlane(
+            ContainerHealthConfig(max_reuses=3), Simulator()
+        )
         container = make_container()
         container.exec_count = 3
         assert plane.recycle_reason(container, now=0.0) == "max_reuses"
@@ -214,7 +224,7 @@ class TestRecycleVerdicts:
 
     def test_max_age_cap(self):
         plane = ContainerHealthPlane(
-            ContainerHealthConfig(max_age_ms=1_000.0)
+            ContainerHealthConfig(max_age_ms=1_000.0), Simulator()
         )
         container = make_container(created_at=100.0)
         assert plane.recycle_reason(container, now=500.0) is None
@@ -222,7 +232,7 @@ class TestRecycleVerdicts:
 
     def test_leak_slope_detector(self):
         plane = ContainerHealthPlane(
-            ContainerHealthConfig(leak_slope_mb=4.0)
+            ContainerHealthConfig(leak_slope_mb=4.0), Simulator()
         )
         container = make_container()
         container.exec_count = 10
@@ -233,7 +243,7 @@ class TestRecycleVerdicts:
 
     def test_disabled_caps_never_fire(self):
         plane = ContainerHealthPlane(
-            ContainerHealthConfig(max_reuses=None, max_age_ms=None)
+            ContainerHealthConfig(max_reuses=None, max_age_ms=None), Simulator()
         )
         container = make_container(created_at=0.0)
         container.exec_count = 10_000
@@ -242,7 +252,7 @@ class TestRecycleVerdicts:
 
 class TestRespecHygiene:
     def test_respec_resets_record_under_new_key(self):
-        plane = ContainerHealthPlane(ContainerHealthConfig())
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         old_key = key_for(container)
         container.exec_count = 5
@@ -257,7 +267,7 @@ class TestRespecHygiene:
 
     def test_respec_scrubs_poison_for_sanitize_cost(self):
         plane = ContainerHealthPlane(
-            ContainerHealthConfig(sanitize_ms=40.0)
+            ContainerHealthConfig(sanitize_ms=40.0), Simulator()
         )
         container = make_container()
         container.poisoned = True

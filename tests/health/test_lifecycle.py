@@ -24,12 +24,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"heartbeat_interval_ms": 0.0},
-            {"suspect_phi": 0.0},
-            {"suspect_phi": 6.0},  # >= quarantine
-            {"quarantine_phi": 20.0},  # >= drain
             {"slow_factor": 1.0},
-            {"recover_evals": 0},
             {"probation_heartbeats": 0},
         ],
     )

@@ -152,7 +152,7 @@ class TestHooks:
     def test_events_and_gauge_emitted(self, sim, engine, injector):
         obs = Observatory()
         monitor = make_monitor(sim, engine)
-        monitor.attach_observatory(obs)
+        sim.obs = obs
         monitor.start()
         sim.run(until=5_000.0)
         sim.schedule(0.0, lambda: setattr(injector, "heartbeats_lost", True))

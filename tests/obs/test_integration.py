@@ -3,7 +3,7 @@
 The tentpole constraint: attaching an Observatory must not change a
 single simulated timestamp — hooks only read state and record, never
 schedule sim events (the Snapshotter, which does, is opt-in and not part
-of ``attach_observatory``).
+of the simulator's ``obs`` slot).
 """
 
 
@@ -26,7 +26,7 @@ def run_workload(observatory=None, seed=3, requests=12):
         jitter_sigma=0.05,
     )
     if observatory is not None:
-        platform.attach_observatory(observatory)
+        platform.sim.obs = observatory
     spec = qr_encoder_app(name="qr", language="python")
     platform.deploy(spec)
     platform.sim.process(platform.engine.ensure_image(spec.image))
@@ -114,6 +114,4 @@ class TestInertness:
 
     def test_unattached_components_hold_no_obs(self):
         platform = run_workload()
-        assert platform.gateway.obs is None
-        assert platform.engine.obs is None
-        assert platform.provider.obs is None
+        assert platform.sim.obs is None

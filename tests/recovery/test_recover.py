@@ -264,7 +264,7 @@ class TestClusterRecovery:
     def test_recovery_events_and_counters(self, registry, fn_python):
         platform, cluster = self.make_cluster(registry)
         obs = Observatory()
-        platform.attach_observatory(obs)
+        platform.sim.obs = obs
         manager = RecoveryManager(cluster)
         platform.deploy(fn_python)
         platform.submit(fn_python.name)
