@@ -1,6 +1,8 @@
 """Unit tests for the process engine (repro.sim.engine)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import AllOf, AnyOf, Interrupt, Simulator
 
@@ -126,7 +128,7 @@ class TestProcess:
         sim = Simulator()
 
         def wrong(sim):
-            yield 5  # type: ignore[misc]
+            yield "5"  # type: ignore[misc]
 
         p = sim.process(wrong(sim))
         sim.run()
@@ -175,6 +177,172 @@ class TestProcess:
         assert p.is_alive
         sim.run()
         assert not p.is_alive
+
+
+class TestSleep:
+    """A process may sleep by yielding its delay in ms."""
+
+    @pytest.mark.parametrize("delay", [2.5, 3, np.float64(4.25)])
+    def test_number_advances_clock(self, delay):
+        sim = Simulator()
+
+        def proc(sim):
+            got = yield delay
+            return got, sim.now
+
+        p = sim.process(proc(sim))
+        sim.run()
+        assert p.value == (None, float(delay))
+        assert sim.now == float(delay)
+        assert type(sim.now) is float
+
+    def test_bool_is_not_a_delay(self):
+        sim = Simulator()
+
+        def wrong(sim):
+            yield True
+
+        p = sim.process(wrong(sim))
+        sim.run()
+        assert not p.ok
+        assert isinstance(p.value, TypeError)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf"), -3])
+    def test_invalid_delay_raises_inside_generator(self, delay):
+        sim = Simulator()
+        seen = []
+
+        def proc(sim):
+            try:
+                yield delay
+            except ValueError as error:
+                seen.append(sim.now)
+                assert len(sim._queue) == 0
+                return str(error)
+
+        p = sim.process(proc(sim))
+        sim.run()
+        assert p.ok and "finite and >= 0" in p.value
+        assert seen == [0.0]
+        assert len(sim._queue) == 0 and sim.now == 0.0
+
+    def test_int_past_float_range_raises_inside_generator(self):
+        sim = Simulator()
+
+        def proc(sim):
+            try:
+                yield 10**400
+            except OverflowError:
+                return "caught"
+
+        p = sim.process(proc(sim))
+        sim.run()
+        assert p.value == "caught" and sim.now == 0.0
+
+    def test_invalid_delay_runs_finally_and_fails_process(self):
+        sim = Simulator()
+        cleaned = []
+
+        def proc(sim):
+            try:
+                yield 1.0
+                yield -1.0
+            finally:
+                cleaned.append(sim.now)
+
+        p = sim.process(proc(sim))
+        sim.run()
+        assert cleaned == [1.0]
+        assert not p.ok and isinstance(p.value, ValueError)
+        assert sim.now == 1.0
+
+    def test_interrupt_cancels_sleep(self):
+        sim = Simulator()
+
+        def sleeper(sim):
+            try:
+                yield 100.0
+            except Interrupt as i:
+                return f"interrupted:{i.cause}"
+
+        p = sim.process(sleeper(sim))
+        sim.schedule(10.0, p.interrupt, "wakeup")
+        assert sim.run() == 10.0
+        assert p.value == "interrupted:wakeup"
+        assert len(sim._queue) == 0
+
+    def test_interrupted_sleeper_sleeps_again(self):
+        sim = Simulator()
+        log = []
+
+        def sleeper(sim):
+            for _ in range(2):
+                try:
+                    yield 50.0
+                    log.append(("woke", sim.now))
+                except Interrupt:
+                    log.append(("interrupted", sim.now))
+
+        p = sim.process(sleeper(sim))
+        sim.schedule(10.0, p.interrupt)
+        sim.run()
+        assert log == [("interrupted", 10.0), ("woke", 60.0)]
+        assert p.ok and sim.now == 60.0
+
+
+#: Delays drawn for the order-equivalence property: zeros and repeated
+#: values make same-instant ties common; ints take the coercion path.
+DELAYS = st.one_of(
+    st.sampled_from([0.0, 0, 1.0, 2, 2.5]),
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+)
+#: One sleep: its delay and whether the mixed run yields a Timeout for it.
+SLEEP = st.tuples(DELAYS, st.booleans())
+#: One step of a top-level process: a sleep, then an optional child
+#: process (its own list of sleeps) spawned at the wake instant.
+STEP = st.tuples(SLEEP, st.none() | st.lists(SLEEP, max_size=3))
+
+
+def _run_sleepers(plans, mixed):
+    """The ``(now, label)`` log and step count of one run of ``plans``.
+
+    With ``mixed`` each sleep yields ``d`` or ``sim.timeout(d)`` as its
+    plan says; without it every sleep yields ``sim.timeout(d)``.
+    """
+    sim = Simulator()
+    log = []
+
+    def sleep(label, delay, use_timeout):
+        # A nested generator, so every sleep also crosses a yield from.
+        if mixed and not use_timeout:
+            yield delay
+        else:
+            yield sim.timeout(delay)
+        log.append((sim.now, label))
+
+    def child(name, sleeps):
+        for index, (delay, use_timeout) in enumerate(sleeps):
+            yield from sleep(f"{name}.{index}", delay, use_timeout)
+
+    def parent(name, steps):
+        for index, ((delay, use_timeout), children) in enumerate(steps):
+            yield from sleep(f"{name}.{index}", delay, use_timeout)
+            if children is not None:
+                sim.process(child(f"{name}.{index}c", children))
+
+    for name, steps in enumerate(plans):
+        sim.process(parent(f"p{name}", steps))
+    sim.run()
+    return log, sim.steps
+
+
+class TestSleepOrderEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(plans=st.lists(st.lists(STEP, max_size=6), min_size=1, max_size=5))
+    def test_yielded_delays_fire_like_timeouts(self, plans):
+        """Yielding ``d`` or ``sim.timeout(d)`` per sleep, chosen at
+        random, gives the same ``(now, label)`` log as all-Timeout."""
+        assert _run_sleepers(plans, mixed=True) == _run_sleepers(plans, mixed=False)
 
 
 class TestComposites:
