@@ -60,7 +60,7 @@ class PullStrategy(abc.ABC):
 
     @abc.abstractmethod
     def pull(self, engine, image: Image) -> Generator:
-        """Process: make the image available; yields sim timeouts."""
+        """Process: make the image available; yields sleeps in ms."""
 
     def first_exec_penalty_ms(self, engine, image: Image) -> float:
         """Extra cost charged to the first exec after a pull (default 0)."""
@@ -71,10 +71,8 @@ class FullPullStrategy(PullStrategy):
     """Download + decompress everything before use (Docker default)."""
 
     def pull(self, engine, image: Image) -> Generator:
-        yield engine.sim.timeout(engine.latency.image_pull(image.compressed_mb))
-        yield engine.sim.timeout(
-            engine.latency.image_decompress(image.compressed_mb)
-        )
+        yield engine.latency.image_pull(image.compressed_mb)
+        yield engine.latency.image_decompress(image.compressed_mb)
 
 
 class LazyPullStrategy(PullStrategy):
@@ -104,8 +102,8 @@ class LazyPullStrategy(PullStrategy):
 
     def pull(self, engine, image: Image) -> Generator:
         essential_mb = image.compressed_mb * self.essential_fraction
-        yield engine.sim.timeout(engine.latency.image_pull(essential_mb))
-        yield engine.sim.timeout(engine.latency.image_decompress(essential_mb))
+        yield engine.latency.image_pull(essential_mb)
+        yield engine.latency.image_decompress(essential_mb)
 
     def first_exec_penalty_ms(self, engine, image: Image) -> float:
         deferred_mb = image.compressed_mb * (1.0 - self.essential_fraction)
@@ -143,11 +141,7 @@ class P2PPullStrategy(PullStrategy):
     def pull(self, engine, image: Image) -> Generator:
         seeds = self.network.seeds(image.reference, excluding=engine.name)
         speedup = min(seeds + 1, self.max_parallel_peers)
-        yield engine.sim.timeout(self.coordination_ms)
-        yield engine.sim.timeout(
-            engine.latency.image_pull(image.compressed_mb) / speedup
-        )
-        yield engine.sim.timeout(
-            engine.latency.image_decompress(image.compressed_mb)
-        )
+        yield self.coordination_ms
+        yield engine.latency.image_pull(image.compressed_mb) / speedup
+        yield engine.latency.image_decompress(image.compressed_mb)
         self.network.register(engine.name, image.reference)

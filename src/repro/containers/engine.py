@@ -319,23 +319,18 @@ class ContainerEngine:
         # Gray slowdown: a degraded host pays every boot stage scaled by
         # the injector's multiplier (1.0x is bit-identical to no fault).
         scale = self._fault_scale()
-        yield self.sim.timeout(
-            scale
-            * self.latency.container_create(
-                shared_namespace=config.network.mode == "container"
-            )
+        yield scale * self.latency.container_create(
+            shared_namespace=config.network.mode == "container"
         )
-        yield self.sim.timeout(
-            scale * self.latency.network_setup(config.network.mode)
-        )
+        yield scale * self.latency.network_setup(config.network.mode)
 
         volume = self.volumes.create()
         self.volumes.mount(volume, container.container_id)
         container.volume = volume
-        yield self.sim.timeout(scale * self.latency.volume_mount())
+        yield scale * self.latency.volume_mount()
 
         container.transition(ContainerState.STARTING)
-        yield self.sim.timeout(scale * self.latency.container_start())
+        yield scale * self.latency.container_start()
 
         container.idle_allocation = yield from self._acquire(
             container.container_id,
@@ -353,9 +348,7 @@ class ContainerEngine:
 
         image = self.registry.resolve(config.image)
         if warm_runtime and image.language is not None:
-            yield self.sim.timeout(
-                scale * self.latency.runtime_init(image.language)
-            )
+            yield scale * self.latency.runtime_init(image.language)
             container.runtime_initialized = True
         if self.is_down:
             # The host went down while this boot was in flight: the
@@ -400,18 +393,22 @@ class ContainerEngine:
         started_at = self.sim.now
         cold = not container.runtime_initialized
 
-        container.exec_allocation = yield from self._acquire(
-            f"exec:{container.container_id}",
-            container.config.cpu_millicores,
-            container.config.mem_mb,
-        )
+        # A host with room commits the allocation here; only a wait for
+        # capacity enters the _acquire process.
+        owner = f"exec:{container.container_id}"
+        cpu = container.config.cpu_millicores
+        mem = container.config.mem_mb
+        if self.resources.can_allocate(cpu, mem):
+            container.exec_allocation = self.resources.allocate(owner, cpu, mem)
+        else:
+            container.exec_allocation = yield from self._acquire(owner, cpu, mem)
         try:
             runtime_init_ms = 0.0
             app_init_ms = 0.0
             # Gray slowdown: exec stages on a degraded host run scaled.
             scale = self._fault_scale()
 
-            # The pre-exec stages accumulate into a single timeout
+            # The pre-exec stages accumulate into a single sleep
             # charged together with the execution itself: an exec runs
             # once per request, so the event count matters at trace
             # scale.  Latency draws keep their stage order.
@@ -448,7 +445,7 @@ class ContainerEngine:
             ):
                 from repro.faults.errors import ExecCrash
 
-                yield self.sim.timeout(pending_ms + 0.5 * exec_ms)
+                yield pending_ms + 0.5 * exec_ms
                 raise ExecCrash(
                     f"container {container.container_id} is crash-looping "
                     f"(exec #{container.exec_count})"
@@ -458,11 +455,11 @@ class ContainerEngine:
                 if crash_at_ms is not None:
                     from repro.faults.errors import ExecCrash
 
-                    yield self.sim.timeout(pending_ms + min(crash_at_ms, exec_ms))
+                    yield pending_ms + min(crash_at_ms, exec_ms)
                     raise ExecCrash(
                         f"container {container.container_id} crashed mid-execution"
                     )
-            yield self.sim.timeout(pending_ms + exec_ms)
+            yield pending_ms + exec_ms
 
             output = spec.payload() if spec.payload is not None else None
 
@@ -536,12 +533,12 @@ class ContainerEngine:
             raise ContainerError(
                 f"container {container.container_id} has no volume"
             )
-        # Wipe and remount share one timeout (cleans run once per
+        # Wipe and remount share one sleep (cleans run once per
         # recycled request, so the event count matters at trace scale);
         # the latency draws keep their wipe-then-mount RNG order.
         wipe_ms = self.latency.volume_wipe()
         mount_ms = self.latency.volume_mount()
-        yield self.sim.timeout(wipe_ms + mount_ms)
+        yield wipe_ms + mount_ms
         old_volume.wipe()
         self.volumes.unmount(old_volume)
         self.volumes.delete(old_volume)
@@ -560,7 +557,7 @@ class ContainerEngine:
             )
         container.transition(ContainerState.STOPPING)
         del self._live[container.container_id]
-        yield self.sim.timeout(self.latency.container_stop())
+        yield self.latency.container_stop()
         self._mark_stopped(container)
         self.stats.stops += 1
         return container
@@ -613,7 +610,7 @@ class ContainerEngine:
                 f"cannot remove {container.state.value} container "
                 f"{container.container_id}"
             )
-        yield self.sim.timeout(self.latency.container_remove())
+        yield self.latency.container_remove()
         container.transition(ContainerState.REMOVED)
         del self._containers[container.container_id]
         self.stats.removes += 1

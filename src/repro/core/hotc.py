@@ -450,7 +450,7 @@ class HotC(RuntimeProvider):
     def _acquire_donor(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
         """Process: re-specialize the first donor that survives the re-spec.
 
-        Each donor is claimed *before* the re-spec timeout so no other
+        Each donor is claimed *before* the re-spec sleep so no other
         acquire (or cluster failover retry) can double-claim it; one
         that dies mid-re-spec (crash injection / host outage) is
         discarded — the failover drain may have already forgotten the
@@ -464,7 +464,7 @@ class HotC(RuntimeProvider):
                 # Apply the configuration delta; the runtime stays hot.
                 cost = self.engine.latency.container_reconfigure()
             donor_image = container.config.image
-            yield self.sim.timeout(cost)
+            yield cost
             if not container.is_reusable:
                 self.cleanup.discard_dead(container, reuse=reuse)
                 continue
@@ -491,7 +491,7 @@ class HotC(RuntimeProvider):
                         container, key, self.sim.now
                     )
                     if sanitize_ms > 0.0:
-                        yield self.sim.timeout(sanitize_ms)
+                        yield sanitize_ms
                         if not container.is_reusable:
                             self.cleanup.discard_dead(container, reuse=reuse)
                             continue
@@ -635,7 +635,7 @@ class HotC(RuntimeProvider):
                 if attempt > BOOT_RETRIES or not breaker.allow(self.sim.now):
                     raise
                 self.engine.stats.boot_retries += 1
-                yield self.sim.timeout(self._backoff_ms(attempt))
+                yield self._backoff_ms(attempt)
             else:
                 breaker.record_success()
                 return container
@@ -1133,7 +1133,7 @@ class HotC(RuntimeProvider):
 
     def _control_loop(self, generation: int) -> Generator:
         while self._control_running and generation == self._control_generation:
-            yield self.sim.timeout(self.config.control_interval_ms)
+            yield self.config.control_interval_ms
             if (
                 not self._control_running
                 or generation != self._control_generation

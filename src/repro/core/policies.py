@@ -263,7 +263,7 @@ class PeriodicWarmupProvider(RuntimeProvider):
 
     def _ping_loop(self, key: RuntimeKey) -> Generator:
         while self._running:
-            yield self.sim.timeout(self.period_ms)
+            yield self.period_ms
             if not self._running:
                 break
             container = self._warm.get(key)
@@ -272,6 +272,6 @@ class PeriodicWarmupProvider(RuntimeProvider):
             if self._warm_busy.get(key) or not container.is_reusable:
                 continue  # skip the ping; a request is in flight
             self._warm_busy[key] = True
-            yield self.sim.timeout(self.ping_ms)
+            yield self.ping_ms
             self._warm_busy[key] = False
             self.pings += 1

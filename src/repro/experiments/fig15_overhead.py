@@ -112,7 +112,7 @@ def run_fig15(
         # *application* at the 6th second and stops it at the 13th while
         # keeping the container live afterwards.
         container = yield from engine.boot_container(spec.container_config())
-        yield sim.timeout(max(0.0, 6_000.0 - sim.now))
+        yield max(0.0, 6_000.0 - sim.now)
         yield from engine.execute(container, spec.exec_spec())
         return container
 

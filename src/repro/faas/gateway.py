@@ -66,7 +66,7 @@ class Gateway:
         latency = self.engine.latency
 
         # Client -> gateway network hop.
-        yield self.sim.timeout(latency.faas_stage("client_to_gateway"))
+        yield latency.faas_stage("client_to_gateway")
         trace.t1_gateway_in = self.sim.now
 
         admission = self.admission
@@ -95,12 +95,12 @@ class Gateway:
         self.inflight_peak = max(self.inflight_peak, self._slots.in_use)
         try:
             # MakeQueuedProxy: route lookup + forwarding.
-            yield self.sim.timeout(latency.faas_stage("gateway_proxy"))
-            yield self.sim.timeout(latency.faas_stage("gateway_to_watchdog"))
+            yield latency.faas_stage("gateway_proxy")
+            yield latency.faas_stage("gateway_to_watchdog")
 
             trace = yield from self.watchdog.handle(spec, trace)
 
-            yield self.sim.timeout(latency.faas_stage("watchdog_to_gateway"))
+            yield latency.faas_stage("watchdog_to_gateway")
         finally:
             self._slots.release()
             if admission is not None:
@@ -112,7 +112,7 @@ class Gateway:
     def _respond(self, spec: FunctionSpec, trace: RequestTrace, latency) -> Generator:
         """Process: moment (6) — the response (or rejection) reaches the
         client — plus the terminal observability records."""
-        yield self.sim.timeout(latency.faas_stage("gateway_to_client"))
+        yield latency.faas_stage("gateway_to_client")
         trace.t6_client_recv = self.sim.now
         obs = self.sim.obs
         if obs is not None:

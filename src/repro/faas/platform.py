@@ -232,7 +232,7 @@ class FaasPlatform:
         """
         def _delayed() -> Generator:
             if delay > 0:
-                yield self.sim.timeout(delay)
+                yield delay
             trace = yield from self.invoke(name)
             return trace
 

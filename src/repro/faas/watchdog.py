@@ -56,7 +56,7 @@ class Watchdog:
         trace.t2_watchdog_in = self.sim.now
 
         # fork/exec of the handler process + stdin pipe setup.
-        yield self.sim.timeout(latency.faas_stage("watchdog_fork"))
+        yield latency.faas_stage("watchdog_fork")
 
         attempts = 0
         while True:
@@ -121,7 +121,7 @@ class Watchdog:
         )
 
         # Read stdout + wrap the HTTP response.
-        yield self.sim.timeout(latency.faas_stage("watchdog_pipe"))
+        yield latency.faas_stage("watchdog_pipe")
         trace.t5_watchdog_out = self.sim.now
 
         # Hand the container back off the critical path.
@@ -171,6 +171,6 @@ class Watchdog:
         trace.outcome = outcome
         trace.error = f"{type(error).__name__}: {error}"
         # The error response still travels the watchdog->client path.
-        yield self.sim.timeout(latency.faas_stage("watchdog_pipe"))
+        yield latency.faas_stage("watchdog_pipe")
         trace.t5_watchdog_out = self.sim.now
         return trace

@@ -51,7 +51,7 @@ class FaultInjector:
         #: refused, heartbeats lost) but its containers stay alive.
         self.partitioned = False
         #: Gray-slowdown multiplier applied to boot/exec stage latencies
-        #: (1.0 = healthy; the engine multiplies timeouts by this).
+        #: (1.0 = healthy; the engine multiplies stage sleeps by this).
         self.latency_multiplier = 1.0
         #: Telemetry-only fault: heartbeats stop while the data plane
         #: keeps serving (exercises the failure detector's false-alarm
@@ -150,7 +150,7 @@ class FaultInjector:
 
     def _straggle(self, engine, ms: float) -> Generator:
         self.stats.boot_stragglers += 1
-        yield engine.sim.timeout(ms)
+        yield ms
 
     # -- engine hook: exec path ------------------------------------------------
     def exec_crash_point(self, exec_ms: float) -> Optional[float]:

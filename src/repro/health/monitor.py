@@ -109,7 +109,7 @@ class HealthMonitor:
     def _pump(self, health: HostHealth, generation: int) -> Generator:
         interval = HEARTBEAT_INTERVAL_MS
         while self._running and generation == self._generation:
-            yield self.sim.timeout(interval)
+            yield interval
             if not self._running or generation != self._generation:
                 break
             engine = health.engine
@@ -124,7 +124,7 @@ class HealthMonitor:
                 if multiplier > 1.0:
                     # Gray slowdown: the heartbeat arrives late, so the
                     # detector learns a stretched inter-arrival mean.
-                    yield self.sim.timeout(interval * (multiplier - 1.0))
+                    yield interval * (multiplier - 1.0)
                     if not self._running or generation != self._generation:
                         break
                 health.detector.heartbeat(self.sim.now)

@@ -49,7 +49,7 @@ class ResourceMonitor:
 
     def _loop(self, generation: int) -> Generator:
         while self._running and generation == self._generation:
-            yield self.engine.sim.timeout(self.period_ms)
+            yield self.period_ms
             if not self._running or generation != self._generation:
                 break
             self.engine.sample_resources()

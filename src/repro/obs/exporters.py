@@ -95,7 +95,7 @@ class Snapshotter:
 
     def _loop(self, generation: int) -> Generator:
         while self._running and generation == self._generation:
-            yield self.sim.timeout(self.period_ms)
+            yield self.period_ms
             if not self._running or generation != self._generation:
                 break
             self.snap()

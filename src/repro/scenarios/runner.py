@@ -373,7 +373,7 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
         sim.process(request(key))
 
     def driver():
-        # One timeout per slot, then direct heap callbacks per arrival:
+        # One sleep per slot, then direct heap callbacks per arrival:
         # cheaper than resuming a generator for every request, and the
         # heap never holds more than a couple of slots' worth of events.
         schedule = sim.schedule
@@ -381,7 +381,7 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
             if not batch.size:
                 continue
             if batch.start_ms > sim.now:
-                yield sim.timeout(batch.start_ms - sim.now)
+                yield batch.start_ms - sim.now
             base = sim.now
             # Guard against the resume instant overshooting the slot
             # start by an ulp, which would make the first delay negative.
