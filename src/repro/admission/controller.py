@@ -12,16 +12,18 @@ gives every function:
 * **deadline enforcement** — a queued request whose absolute deadline
   passes is woken, lazily removed from the queue, and terminated with
   ``DEADLINE`` so no client waits unboundedly;
-* **brownout shedding** — while any registered host is browned out,
-  standard-QoS requests are shed up front so warm containers (and
-  critical traffic) survive the pressure.
+* **brownout** — the controller owns one hysteresis state machine per
+  host (:mod:`repro.admission.brownout`), advanced by each host's
+  control tick through :meth:`AdmissionController.observe_pressure`;
+  while any host is browned out, standard-QoS requests are shed up
+  front so warm containers (and critical traffic) survive the pressure.
 
 Everything is plain simulation bookkeeping: grants are scheduled
 through the simulator queue exactly like
 :class:`repro.sim.engine.Resource` releases, so runs are deterministic,
 and a platform with no controller attached takes zero extra simulation
-events (the hook is one ``is None`` check, the same contract as the
-observatory).
+events (the hook is one ``is None`` check on ``sim.admission``, the
+same contract as the observatory's ``sim.obs``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Generator, Optional
 
 from repro.admission.aimd import AIMDConfig, AIMDLimiter
+from repro.admission.brownout import BrownoutController
 from repro.faas.function import FunctionSpec
 from repro.faas.tracing import RequestOutcome, RequestTrace
 from repro.obs.events import EventKind
@@ -145,10 +148,11 @@ class _FunctionState:
 class AdmissionController:
     """Overload protection shared by every gateway of a platform.
 
-    Attach through :meth:`repro.faas.platform.FaasPlatform.attach_admission`;
-    the platform binds the simulator, wires every gateway, and hands the
-    controller to the provider so HotC can drive brownout and the AIMD
-    tick from its control loop.
+    Attach through :meth:`repro.faas.platform.FaasPlatform.attach_admission`,
+    which binds the simulator and sets its ``admission`` slot.  Every
+    gateway and every HotC host reads the controller from that slot:
+    gateways admit and release through it, and each host's control
+    loop reports its memory pressure and drives the AIMD tick.
     """
 
     def __init__(self, config: Optional[AdmissionConfig] = None) -> None:
@@ -156,7 +160,10 @@ class AdmissionController:
         self.sim = None
         self.stats = AdmissionStats()
         self._states: Dict[str, _FunctionState] = {}
-        #: Hosts currently browned out (by engine name).
+        #: Per-host brownout state machines (by engine name), created on
+        #: each host's first pressure reading.
+        self._brownouts: Dict[str, BrownoutController] = {}
+        #: Hosts currently browned out: the shed check's fast path.
         self._browned_out: set = set()
         self._shutdown = False
         self._last_tick = -_INF
@@ -166,12 +173,48 @@ class AdmissionController:
         """Bind the simulator (done by ``attach_admission``)."""
         self.sim = sim
 
-    def set_brownout(self, host: str, active: bool) -> None:
-        """A host entered/left brownout (driven by HotC's control tick)."""
+    # -- brownout -----------------------------------------------------------
+    def observe_pressure(
+        self, host: str, threshold: float, mem_fraction: float,
+        cap_tripped: bool,
+    ) -> bool:
+        """Advance ``host``'s brownout state machine; True while degraded.
+
+        Called by the host's control tick.  The machine is created on
+        the host's first reading, entering at its memory ``threshold``
+        and exiting only below ``threshold - brownout_exit_margin`` so
+        the mode cannot flap around the threshold.  A transition updates
+        the shed set and records the BROWNOUT_ENTER/EXIT event.
+        """
+        brownout = self._brownouts.get(host)
+        if brownout is None:
+            brownout = self._brownouts[host] = BrownoutController(
+                enter_threshold=threshold,
+                exit_margin=self.config.brownout_exit_margin,
+            )
+        transition = brownout.update(mem_fraction, cap_tripped)
+        if not transition:
+            return brownout.active
+        active = brownout.active
         if active:
             self._browned_out.add(host)
         else:
             self._browned_out.discard(host)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.record(
+                EventKind.BROWNOUT_ENTER if active else EventKind.BROWNOUT_EXIT,
+                self.sim.now, "brownout_transitions_total",
+                "Brownout state changes by direction",
+                {"host": host, "to": "active" if active else "clear"},
+                host=host, mem_fraction=round(mem_fraction, 4),
+                cap_tripped=cap_tripped,
+            )
+        return active
+
+    def browned_out(self, host: str) -> bool:
+        """Whether ``host`` is browned out (pauses its prewarm)."""
+        return host in self._browned_out
 
     @property
     def brownout_active(self) -> bool:

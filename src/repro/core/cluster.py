@@ -93,27 +93,11 @@ class ClusterHotC(RuntimeProvider):
         self._rr_next = 0
         #: Host indexes currently believed down (outage in progress).
         self._down: set = set()
-        #: Optional shared admission controller (attach_admission).
-        self.admission = None
         #: Optional health monitor; ``None`` keeps routing decisions
         #: exactly as before (binary lazy down-set only).
         self.health = None
-        #: Optional recovery manager; ``None`` keeps release/discard
-        #: strict about unknown containers.
-        self.recovery = None
         #: True between crash_control_plane() and recover_from().
         self._crashed = False
-
-    def attach_admission(self, controller) -> None:
-        """Wire one shared admission controller through every host.
-
-        Each host drives its own brownout state machine against the
-        shared controller; the AIMD tick collapses across co-scheduled
-        control loops.
-        """
-        self.admission = controller
-        for host in self.hosts:
-            host.attach_admission(controller)
 
     def attach_health(self, monitor) -> None:
         """Route around sick hosts via a phi-accrual monitor.
@@ -132,18 +116,6 @@ class ClusterHotC(RuntimeProvider):
             monitor.register_host(
                 host.engine.name, host.engine, on_drain=host.drain_lost
             )
-
-    def attach_recovery(self, manager) -> None:
-        """Wire a recovery manager through the cluster (``None`` detaches).
-
-        Hosts share the one manager: any host's control tick drives its
-        audit/checkpoint cadence (the manager collapses co-scheduled
-        ticks), and release/discard become tolerant of containers the
-        rebuilt control plane no longer tracks.
-        """
-        self.recovery = manager
-        for host in self.hosts:
-            host.recovery = manager
 
     # -- introspection ----------------------------------------------------
     @property
@@ -340,7 +312,7 @@ class ClusterHotC(RuntimeProvider):
 
     def _dec_inflight(self, index: int) -> None:
         count = self._inflight[index] - 1
-        if count < 0 and self.recovery is not None:
+        if count < 0 and self.sim.recovery is not None:
             # The routing increment predates a control-plane crash that
             # zeroed the counters; floor instead of going negative.
             count = 0
@@ -356,7 +328,7 @@ class ClusterHotC(RuntimeProvider):
     def release(self, container: Container) -> Generator:
         index = self._by_container.pop(container.container_id, None)
         if index is None:
-            if self.recovery is None:
+            if self.sim.recovery is None:
                 raise KeyError(
                     f"container {container.container_id} is not tracked "
                     "by this cluster"
@@ -373,7 +345,7 @@ class ClusterHotC(RuntimeProvider):
         """Drop a mid-request casualty: bookkeeping only, no cleanup I/O."""
         index = self._by_container.pop(container.container_id, None)
         if index is None:
-            if self.recovery is None:
+            if self.sim.recovery is None:
                 return
             index = self._host_index_of(container)
             if index is None:
@@ -447,7 +419,7 @@ class ClusterHotC(RuntimeProvider):
             assert self._inflight[index] >= 0, (
                 f"negative in-flight count on host {index}"
             )
-            if self.recovery is None:
+            if self.sim.recovery is None:
                 # Post-crash floors can transiently break this bound,
                 # so it only holds in the never-crashed regime.
                 assert self._inflight[index] >= busy_routed[index], (

@@ -21,7 +21,6 @@ import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional
 
-from repro.admission.brownout import BrownoutController
 from repro.containers.container import Container, ContainerConfig
 from repro.containers.engine import ContainerEngine
 from repro.core.breaker import CircuitBreaker
@@ -185,13 +184,6 @@ class HotC(RuntimeProvider):
             if self.config.repurpose
             else None
         )
-        #: Optional admission controller; ``None`` keeps overload
-        #: protection (brownout, AIMD tick) fully inert.
-        self.admission = None
-        self._brownout: Optional[BrownoutController] = None
-        #: Optional recovery manager; ``None`` keeps checkpointing,
-        #: auditing, and crash handling fully inert.
-        self.recovery = None
         #: True between crash_control_plane() and recover_from():
         #: acquire fails fast, the control loop skips its tick.
         self._crashed = False
@@ -225,33 +217,6 @@ class HotC(RuntimeProvider):
     def key_of(self, config: ContainerConfig) -> RuntimeKey:
         """Parameter analysis: config → runtime key."""
         return runtime_key(config, self.config.key_policy)
-
-    def attach_admission(self, controller) -> None:
-        """Wire overload protection through this host (``None`` detaches).
-
-        The control loop then drives the controller's AIMD tick and this
-        host's brownout state machine: under memory pressure (or a
-        container-cap trip) the host degrades — prewarm pauses, pool
-        targets shrink, and standard-QoS requests are shed at the
-        gateway — *before* warm containers get evicted.
-        """
-        self.admission = controller
-        if controller is None:
-            self._brownout = None
-            return
-        self._brownout = BrownoutController(
-            enter_threshold=self.config.limits.memory_threshold,
-            exit_margin=controller.config.brownout_exit_margin,
-        )
-
-    def attach_recovery(self, manager) -> None:
-        """Wire a recovery manager through this host (``None`` detaches).
-
-        The control loop then audits consistency and checkpoints the
-        learned state on the manager's cadence, and release/discard
-        tolerate containers the (rebuilt) pool no longer tracks.
-        """
-        self.recovery = manager
 
     def acquire(self, config: ContainerConfig) -> Generator:
         """Process: Algorithm 1 — reuse when available, else cold boot.
@@ -995,8 +960,9 @@ class HotC(RuntimeProvider):
         queued waiters are drained deterministically instead of being
         left parked on the gateway.
         """
-        if self.admission is not None:
-            self.admission.begin_shutdown()
+        admission = self.sim.admission
+        if admission is not None:
+            admission.begin_shutdown()
         self._draining = True
         self._control_running = False
         # A stale loop waiting on its tick exits on the generation check.
@@ -1147,9 +1113,8 @@ class HotC(RuntimeProvider):
             # Control-plane crash window: no prediction, no resize.
             return
         obs = self.sim.obs
-        admission = self.admission
-        if admission is not None:
-            self._update_brownout()
+        admission = self.sim.admission
+        browned_out = admission is not None and self._update_brownout(admission)
         controller = self.controller
         keys = tuple(self._keys)
         states = tuple(self._keys.values())
@@ -1166,7 +1131,7 @@ class HotC(RuntimeProvider):
             target = None
             if self.config.prewarm:
                 target = max(controller.target_upper(key), controller.target(key))
-                if admission is not None and self._brownout.active:
+                if browned_out:
                     # Degraded mode: provision for a fraction of the
                     # forecast so the pool sheds weight before the
                     # pressure path has to evict warm containers.
@@ -1203,10 +1168,11 @@ class HotC(RuntimeProvider):
             # Drive the AIMD interval from the same control clock; the
             # controller collapses co-scheduled multi-host ticks.
             admission.tick(self.sim.now)
-        if self.recovery is not None:
+        recovery = self.sim.recovery
+        if recovery is not None:
             # Background auditor + checkpoint cadence; the manager
             # collapses co-scheduled multi-host ticks.
-            self.recovery.on_control_tick(self.sim.now)
+            recovery.on_control_tick(self.sim.now)
         if self.container_health is not None:
             self._health_sweep()
             if self._recycle_queue:
@@ -1214,13 +1180,13 @@ class HotC(RuntimeProvider):
                     self._drain_recycle_queue(), name="hotc-recycle"
                 )
 
-    def _update_brownout(self) -> None:
-        """Advance the brownout state machine with this tick's pressure.
+    def _update_brownout(self, admission) -> bool:
+        """Report this tick's pressure to admission; True while degraded.
 
-        Entering pauses prewarm, shrinks pool targets and tells the
-        admission controller to shed standard-QoS traffic; the exit
-        needs the memory fraction to clear the hysteresis margin so the
-        mode cannot flap around the threshold.
+        Admission owns the host's brownout state machine.  While it is
+        active the host pauses prewarm, shrinks pool targets and the
+        gateway sheds standard-QoS traffic, all *before* warm containers
+        get evicted.
         """
         resources = self.engine.resources
         cap_tripped = (
@@ -1228,22 +1194,10 @@ class HotC(RuntimeProvider):
             >= self.config.limits.max_containers
             or resources.used_swap_mb > 0.0
         )
-        transition = self._brownout.update(resources.mem_fraction, cap_tripped)
-        if not transition:
-            return
-        active = transition == "enter"
-        host = self.engine.name
-        self.admission.set_brownout(host, active)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.record(
-                EventKind.BROWNOUT_ENTER if active else EventKind.BROWNOUT_EXIT,
-                self.sim.now, "brownout_transitions_total",
-                "Brownout state changes by direction",
-                {"host": host, "to": "active" if active else "clear"},
-                host=host, mem_fraction=round(resources.mem_fraction, 4),
-                cap_tripped=cap_tripped,
-            )
+        return admission.observe_pressure(
+            self.engine.name, self.config.limits.memory_threshold,
+            resources.mem_fraction, cap_tripped,
+        )
 
     def _resize_key(self, key: RuntimeKey, target: int) -> None:
         """Move the pool toward ``target`` containers of type ``key``."""
@@ -1275,7 +1229,8 @@ class HotC(RuntimeProvider):
     def _spawn_prewarm(self, key: RuntimeKey) -> None:
         if self._draining:
             return
-        if self._brownout is not None and self._brownout.active:
+        admission = self.sim.admission
+        if admission is not None and admission.browned_out(self.engine.name):
             # Degraded mode: a host already under memory pressure must
             # not spend capacity growing the pool it is trying to shrink.
             return

@@ -37,8 +37,9 @@ def _drain_budget_ms(platform: FaasPlatform) -> float:
         for name in platform.functions
         if platform.function(name).deadline_ms is not None
     ]
-    if platform.admission is not None:
-        default = platform.admission.config.default_deadline_ms
+    admission = platform.sim.admission
+    if admission is not None:
+        default = admission.config.default_deadline_ms
         if default is not None:
             deadlines.append(default)
     return max(deadlines) if deadlines else _FALLBACK_DRAIN_MS

@@ -154,9 +154,6 @@ class FaasPlatform:
         self.traces = TraceCollector()
         self._functions: Dict[str, FunctionSpec] = {}
         self._request_ids = itertools.count()
-        #: Optional admission controller; ``None`` keeps the platform
-        #: bit-identical to one built before overload protection existed.
-        self.admission = None
 
     @property
     def gateway(self) -> Gateway:
@@ -166,18 +163,15 @@ class FaasPlatform:
     def attach_admission(self, controller) -> None:
         """Wire overload protection through the whole platform.
 
-        Binds the simulator, puts the controller in front of every
-        gateway's proxy pipeline, and — when the provider supports it
-        (HotC, ClusterHotC) — hands it to the provider so the control
-        loop drives the AIMD tick and brownout transitions.
+        Binds the simulator and sets its ``admission`` slot.  Every
+        gateway then admits in front of its proxy pipeline, and every
+        HotC host's control loop drives the AIMD tick and reports its
+        memory pressure for brownout.  Without a controller attached the
+        platform is bit-identical to one built before overload
+        protection existed.
         """
         controller.bind(self.sim)
-        self.admission = controller
-        for gateway in self.gateways:
-            gateway.admission = controller
-        attach = getattr(self.provider, "attach_admission", None)
-        if attach is not None:
-            attach(controller)
+        self.sim.admission = controller
 
     # -- deployment -------------------------------------------------------
     def deploy(self, spec: FunctionSpec) -> None:

@@ -23,6 +23,13 @@ protocol:
   reconciliation bug surfaces at the next tick instead of at the end
   of a run.
 
+Constructing a manager attaches it: it sets the simulator's
+``recovery`` slot, where every HotC control tick finds it (and calls
+:meth:`RecoveryManager.on_control_tick`) and where
+:class:`~repro.core.cluster.ClusterHotC` looks before it tolerates a
+container the rebuilt control plane no longer tracks.  Learned AIMD
+limits are reached the same way, through the ``admission`` slot.
+
 The manager is strictly opt-in: nothing constructs one unless the
 caller does, and an attached-but-never-crashed manager only adds
 synchronous bookkeeping on control ticks (no extra sim events), so
@@ -115,17 +122,13 @@ class RecoveryManager:
         self.unrepaired: List[str] = []
         self._ticks = 0
         self._last_tick_at: Optional[float] = None
-        provider.attach_recovery(self)
+        self.sim.recovery = self
 
     # -- helpers -----------------------------------------------------------
     @property
     def crashed(self) -> bool:
         """Whether the control plane is currently down."""
         return bool(self.provider._crashed)
-
-    @property
-    def _admission(self):
-        return getattr(self.provider, "admission", None)
 
     # -- control-tick hook -------------------------------------------------
     def on_control_tick(self, now: float) -> None:
@@ -156,7 +159,7 @@ class RecoveryManager:
             now = self.sim.now
         hosts = self.provider.snapshot_state()
         limits = {}
-        admission = self._admission
+        admission = self.sim.admission
         if admission is not None:
             limits = admission.export_limits()
         checkpoint = self.store.save(now, hosts, aimd_limits=limits)
@@ -177,7 +180,7 @@ class RecoveryManager:
             return False
         now = self.sim.now
         lost = self.provider.crash_control_plane()
-        admission = self._admission
+        admission = self.sim.admission
         if admission is not None:
             # Learned AIMD limits are control-plane memory too.
             admission.reset_limits()
@@ -198,7 +201,7 @@ class RecoveryManager:
         now = self.sim.now
         checkpoint = self.store.latest()
         repairs = self.provider.recover_from(checkpoint)
-        admission = self._admission
+        admission = self.sim.admission
         if admission is not None and checkpoint is not None:
             admission.restore_limits(checkpoint.aimd_limits)
         self.repairs.extend(repairs)

@@ -274,6 +274,9 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
                 default_deadline_ms=spec.admission.default_deadline_ms,
             )
         )
+        # Bound but not attached: ``sim.admission`` stays unset, so no
+        # host tick drives this controller's AIMD limits or brownout
+        # (a known gap, DESIGN.md §13).
         admission.bind(sim)
 
     for image, _ in _TRACE_IMAGES[: spec.traffic.n_images]:

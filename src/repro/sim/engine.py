@@ -558,17 +558,26 @@ class Store:
 
 
 class Simulator:
-    """The simulation kernel: clock + event queue + process spawner."""
+    """The simulation kernel: clock + event queue + process spawner.
 
-    __slots__ = ("_queue", "_now", "_step_count", "obs")
+    It also carries the run-wide service slots ``obs``, ``admission``
+    and ``recovery`` (DESIGN.md §7): a service is attached once, by
+    setting its slot, and never copied onto the components that use it.
+    """
+
+    __slots__ = ("_queue", "_now", "_step_count", "obs", "admission", "recovery")
 
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._step_count = 0
-        #: The run's :class:`~repro.obs.Observatory`; every instrumented
-        #: component reads it here, and ``None`` keeps each hook inert.
+        # ``None`` keeps every hook of a service inert.
+        #: The run's :class:`~repro.obs.Observatory`.
         self.obs = None
+        #: The run's :class:`~repro.admission.AdmissionController`.
+        self.admission = None
+        #: The run's :class:`~repro.recovery.RecoveryManager`.
+        self.recovery = None
 
     # -- time -------------------------------------------------------------
     @property

@@ -188,7 +188,8 @@ class TestAdmission:
         client = Client(sim, ctrl)
         standard = spec_of()
         critical = spec_of(name="vip", qos="critical")
-        ctrl.set_brownout("host-0", True)
+        # Memory fraction 0.9 crosses the 0.8 threshold: enter.
+        assert ctrl.observe_pressure("host-0", 0.8, 0.9, cap_tripped=False)
         assert ctrl.brownout_active
         client.spawn(standard, hold_ms=1.0)
         client.spawn(critical, hold_ms=1.0)
@@ -197,7 +198,8 @@ class TestAdmission:
         assert client.traces[0].shed_reason == "brownout"
         assert client.traces[1].outcome is RequestOutcome.SUCCESS
         # Brownout cleared: standard traffic flows again.
-        ctrl.set_brownout("host-0", False)
+        # 0.1 is below threshold - margin: exit.
+        assert not ctrl.observe_pressure("host-0", 0.8, 0.1, cap_tripped=False)
         assert not ctrl.brownout_active
         client.spawn(standard, hold_ms=1.0)
         sim.run()
@@ -211,7 +213,8 @@ class TestAdmission:
             brownout_shed_standard=False,
         )
         client = Client(sim, ctrl)
-        ctrl.set_brownout("host-0", True)
+        ctrl.observe_pressure("host-0", 0.8, 0.9, cap_tripped=False)
+        assert ctrl.brownout_active
         client.spawn(spec_of(), hold_ms=1.0)
         sim.run()
         assert client.traces[0].outcome is RequestOutcome.SUCCESS

@@ -85,11 +85,11 @@ def test_shed_plus_done_plus_missed_equals_submitted():
         for i in range(400):
             yield sim.timeout(TICK_MS)
             ctrl.tick(sim.now)
-            if i % 7 == 3:
-                ctrl.set_brownout("host-0", True)
-            elif i % 7 == 5:
-                ctrl.set_brownout("host-0", False)
-        ctrl.set_brownout("host-0", False)
+            if i % 7 == 3:  # pressure past the threshold: enter
+                ctrl.observe_pressure("host-0", 0.8, 0.9, cap_tripped=False)
+            elif i % 7 == 5:  # pressure clear of the margin: exit
+                ctrl.observe_pressure("host-0", 0.8, 0.1, cap_tripped=False)
+        ctrl.observe_pressure("host-0", 0.8, 0.1, cap_tripped=False)
 
     sim.process(source(), name="source")
     sim.process(control_plane(), name="control")
