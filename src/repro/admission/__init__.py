@@ -9,7 +9,8 @@ The subsystem between clients and the runtime pool (DESIGN.md §10):
   (additive increase on success, multiplicative decrease on deadline
   misses and shed bursts), ticked from the existing control loop.
 - :mod:`repro.admission.brownout` — the hysteresis state machine for a
-  host's degraded mode under memory pressure / container-cap trips.
+  host's degraded mode under memory pressure / container-cap trips; the
+  controller keeps one per host.
 
 A platform with no controller attached behaves bit-identically to one
 built before this subsystem existed.
