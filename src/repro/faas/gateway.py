@@ -75,21 +75,25 @@ class Gateway:
                 trace = yield from self._respond(spec, trace, latency)
                 return trace
 
-        grant = self._slots.request()
-        if not grant.triggered:
-            depth = self._slots.queued
+        slots = self._slots
+        if not slots.try_request():
+            # Every slot is held: queue for one.  A free slot builds no
+            # grant event and no resume, so the proxy sleeps below can
+            # still run ahead (DESIGN.md §9b).
+            grant = slots.request()
+            depth = slots.queued
             if depth > self.queue_depth_peak:
                 self.queue_depth_peak = depth
-        try:
-            yield grant
-        except BaseException:
-            # Abandoned while waiting (interrupt, kill): a waiter left
-            # parked would absorb a future release and leak that slot
-            # forever; if the grant already raced in, hand it back.
-            if not self._slots.cancel(grant):
-                self._slots.release()
-            raise
-        self.inflight_peak = max(self.inflight_peak, self._slots.in_use)
+            try:
+                yield grant
+            except BaseException:
+                # Abandoned while waiting (interrupt, kill): a waiter left
+                # parked would absorb a future release and leak that slot
+                # forever; if the grant already raced in, hand it back.
+                if not slots.cancel(grant):
+                    slots.release()
+                raise
+        self.inflight_peak = max(self.inflight_peak, slots.in_use)
         try:
             # MakeQueuedProxy: route lookup + forwarding.
             yield latency.faas_stage("gateway_proxy")
@@ -99,7 +103,7 @@ class Gateway:
 
             yield latency.faas_stage("watchdog_to_gateway")
         finally:
-            self._slots.release()
+            slots.release()
             if admission is not None:
                 admission.release(spec, trace, self.sim.now)
 

@@ -149,7 +149,11 @@ class Process(Event):
       ``None``.  It wakes at the instant, and in the order, that a
       yielded ``sim.timeout(delay)`` would, but builds no event.  A
       negative or non-finite delay raises :class:`ValueError` at the
-      ``yield`` and schedules nothing.
+      ``yield`` and schedules nothing.  A sleep that ends strictly before
+      every queued entry (and within the current :meth:`Simulator.run`)
+      runs ahead: when the process was woken straight from the drain
+      loop, the kernel advances the clock and resumes it in place, with
+      no queue entry, in exactly the order the entry would have fired.
     * ``return value`` — finishes the process; waiters receive ``value``.
     """
 
@@ -190,14 +194,12 @@ class Process(Event):
             entry.time = time
             entry.priority = 0
             entry.seq = seq
-            entry.callback = self._resume
-            entry.args = (None, None)
+            entry.callback = self._start
+            entry.args = ()
             entry.cancelled = False
             entry.queue = queue
         else:
-            entry = ScheduledEvent(
-                time, 0, seq, self._resume, (None, None), queue, False
-            )
+            entry = ScheduledEvent(time, 0, seq, self._start, (), queue, False)
         heappush(queue._heap, (time, 0, seq, entry))
 
     @property
@@ -344,21 +346,65 @@ class Process(Event):
             else:
                 target.callbacks = [self._on_event_cb]
 
+    def _start(self) -> None:
+        # The start entry.  An interrupt at the spawn instant (priority
+        # -1) fires first and fails the process before its body runs.
+        if self._fired:
+            return
+        self._sleep_wake()
+
     def _sleep_wake(self) -> None:
         # Fired straight from the drain loop when a sleep's entry comes
-        # due.  The entry is forgotten before the generator runs: once
-        # executed it may be recycled, and a later interrupt must not
-        # cancel whatever reuses it.
+        # due (or the process starts).  The entry is forgotten before the
+        # generator runs: once executed it may be recycled, and a later
+        # interrupt must not cancel whatever reuses it.
+        #
+        # Run-ahead: nothing else is on the stack, so a sleep that ends
+        # strictly before every queued entry, and no later than the
+        # current run()'s ``until``, is the entry the drain loop would pop
+        # next.  It is taken here instead of pushed: the clock, the step
+        # count and ``seq`` move as that push and pop would move them, and
+        # the generator resumes again in this loop.
         self._waiting_on = None
-        try:
-            target = self._generator.send(None)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as error:  # noqa: BLE001 - propagate to waiters
-            self.fail(error)
-            return
-        self._wait_on_target(target)
+        sim = self._sim
+        queue = sim._queue
+        heap = queue._heap
+        generator = self._generator
+        while True:
+            try:
+                target = generator.send(None)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as error:  # noqa: BLE001 - propagate to waiters
+                self.fail(error)
+                return
+            if type(target) is not float or not (0.0 <= target < _INF):
+                self._wait_on_target(target)
+                return
+            time = sim._now + target
+            if time > sim._until or (heap and heap[0][0] <= time):
+                break
+            sim._now = time
+            sim._step_count += 1
+            queue._seq += 1
+        # The float arm of _wait_on_target, inlined.
+        seq = queue._seq
+        queue._seq = seq + 1
+        free = queue._free
+        if free:
+            entry = free.pop()
+            entry.time = time
+            entry.priority = 0
+            entry.seq = seq
+            entry.callback = self._sleep_cb
+            entry.args = ()
+            entry.cancelled = False
+            entry.queue = queue
+        else:
+            entry = ScheduledEvent(time, 0, seq, self._sleep_cb, (), queue, False)
+        heappush(heap, (time, 0, seq, entry))
+        self._waiting_on = entry
 
     def _wake(self, value: Any = None) -> None:
         # Partner of the direct-wake fast path in _wait_on_target: fired
@@ -481,6 +527,18 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiters)
 
+    def try_request(self) -> bool:
+        """Take a free slot at once, without building an event.
+
+        Returns ``False``, taking nothing, when every slot is held; the
+        caller then queues with :meth:`request`.  A free slot means the
+        wait queue is empty, so this never jumps a waiter.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
+
     def request(self) -> Event:
         """Ask for a slot; the returned event fires on grant."""
         event = Event(name=("request", self.name))
@@ -565,12 +623,16 @@ class Simulator:
     setting its slot, and never copied onto the components that use it.
     """
 
-    __slots__ = ("_queue", "_now", "_step_count", "obs", "admission", "recovery")
+    __slots__ = ("_queue", "_now", "_step_count", "_until", "obs", "admission",
+                 "recovery")
 
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._step_count = 0
+        #: The active run()'s ``until`` (``inf`` when unbounded), and -1.0
+        #: outside run(), where no sleep may run ahead.
+        self._until = -1.0
         # ``None`` keeps every hook of a service inert.
         #: The run's :class:`~repro.obs.Observatory`.
         self.obs = None
@@ -629,7 +691,11 @@ class Simulator:
 
     # -- main loop --------------------------------------------------------
     def step(self) -> None:
-        """Execute the next queue entry, advancing the clock."""
+        """Execute the next queue entry, advancing the clock.
+
+        Exactly one entry runs: a sleep the resumed process yields is
+        queued, never run ahead (that happens only inside :meth:`run`).
+        """
         entry = self._queue.pop()
         if entry.time < self._now:
             raise RuntimeError(
@@ -651,6 +717,9 @@ class Simulator:
         This is the batched drain loop: heap access, ``heappop``, and the
         free list are bound to locals, and each live entry is executed
         inline instead of going through :meth:`step`'s pop/peek pair.
+        A process woken by this loop may also run its sleeps ahead (see
+        :class:`Process`) up to and including ``until``; each such wake
+        counts in :attr:`steps` as the entry it replaces would have.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
@@ -659,6 +728,7 @@ class Simulator:
         free = queue._free
         pop = heappop
         steps = 0
+        self._until = _INF if until is None else until
         try:
             if until is None:
                 # Unbounded drain (the common case for full-figure runs):
@@ -718,6 +788,7 @@ class Simulator:
                     callback(*args)
         finally:
             self._step_count += steps
+            self._until = -1.0
         if until is not None and until > self._now:
             self._now = until
         return self._now

@@ -336,13 +336,291 @@ def _run_sleepers(plans, mixed):
     return log, sim.steps
 
 
+#: One operation of a process in the contention property: a sleep; a
+#: hold of one of two capacity-1 resources for a sleep; a wait on one of
+#: two shared events followed by a sleep; firing a shared event; an
+#: interrupt of a top-level process; or spawning a child of sleeps.
+OP = st.one_of(
+    st.tuples(st.just("sleep"), SLEEP),
+    st.tuples(st.just("hold"), st.integers(0, 1), SLEEP),
+    st.tuples(st.just("wait"), st.integers(0, 1), SLEEP),
+    st.tuples(st.just("fire"), st.integers(0, 1)),
+    st.tuples(st.just("interrupt"), st.integers(0, 4)),
+    st.tuples(st.just("spawn"), st.lists(SLEEP, max_size=3)),
+)
+
+
+def _run_contended(programs, slices, mixed):
+    """The ``(now, label)`` log and step count of one run of ``programs``.
+
+    Sleeps choose ``d`` or ``sim.timeout(d)`` as in :func:`_run_sleepers`.
+    The run is driven through ``run(until=t)`` for each slice end in
+    ``slices`` (sorted, clamped to the clock), then drained.
+    """
+    sim = Simulator()
+    log = []
+    resources = [sim.resource(1, name=f"r{i}") for i in range(2)]
+    events = [sim.event(f"e{i}") for i in range(2)]
+    procs = []
+
+    def sleep(label, delay, use_timeout):
+        if mixed and not use_timeout:
+            yield delay
+        else:
+            yield sim.timeout(delay)
+        log.append((sim.now, label))
+
+    def child(name, sleeps):
+        for index, (delay, use_timeout) in enumerate(sleeps):
+            yield from sleep(f"{name}.{index}", delay, use_timeout)
+
+    def hold(label, resource, sleep_plan):
+        request = resource.request()
+        try:
+            yield request
+        except Interrupt:
+            if not resource.cancel(request):
+                resource.release()
+            raise
+        log.append((sim.now, label + ":granted"))
+        try:
+            yield from sleep(label, *sleep_plan)
+        finally:
+            resource.release()
+
+    def program(name, ops):
+        for index, op in enumerate(ops):
+            label = f"{name}.{index}"
+            try:
+                kind = op[0]
+                if kind == "sleep":
+                    yield from sleep(label, *op[1])
+                elif kind == "hold":
+                    yield from hold(label, resources[op[1]], op[2])
+                elif kind == "wait":
+                    value = yield events[op[1]]
+                    log.append((sim.now, f"{label}:woke:{value}"))
+                    yield from sleep(label, *op[2])
+                elif kind == "fire":
+                    if not events[op[1]].triggered:
+                        events[op[1]].succeed(label)
+                elif kind == "interrupt":
+                    target = procs[op[1] % len(procs)]
+                    if target.is_alive:
+                        target.interrupt(label)
+                else:
+                    sim.process(child(f"{label}c", op[1]))
+            except Interrupt as interrupt:
+                log.append((sim.now, f"{label}:interrupted:{interrupt.cause}"))
+
+    for name, ops in enumerate(programs):
+        procs.append(sim.process(program(f"p{name}", ops)))
+    for end in sorted(slices):
+        sim.run(until=max(end, sim.now))
+        log.append((sim.now, "slice"))
+    sim.run()
+    log.extend((sim.now, f"{p.name}:{p.ok}:{p.value!r}") for p in procs)
+    return log, sim.steps
+
+
 class TestSleepOrderEquivalence:
+    """Timeouts never run ahead, so the all-Timeout run is the oracle
+    for every run that sleeps by yielding delays."""
+
     @settings(max_examples=60, deadline=None)
     @given(plans=st.lists(st.lists(STEP, max_size=6), min_size=1, max_size=5))
     def test_yielded_delays_fire_like_timeouts(self, plans):
         """Yielding ``d`` or ``sim.timeout(d)`` per sleep, chosen at
         random, gives the same ``(now, label)`` log as all-Timeout."""
         assert _run_sleepers(plans, mixed=True) == _run_sleepers(plans, mixed=False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        programs=st.lists(st.lists(OP, max_size=6), min_size=1, max_size=5),
+        slices=st.lists(st.floats(min_value=0.0, max_value=30.0), max_size=4),
+    )
+    def test_contention_interrupts_and_slices_match_timeouts(self, programs, slices):
+        """Resource handoffs, events with several waiters, interrupted
+        sleepers and ``run(until=...)`` slices: the ``(now, label)`` log
+        and ``steps`` equal the all-Timeout run's."""
+        assert _run_contended(programs, slices, mixed=True) == _run_contended(
+            programs, slices, mixed=False
+        )
+
+
+class TestRunAhead:
+    """A sleep resumed from the drain loop may wake in place when it ends
+    before every queued entry; nowhere else may the clock jump."""
+
+    def test_second_waiter_sees_firing_time(self):
+        # The first waiter's 5 ms sleep would end before anything queued,
+        # but it is scheduled inside the event's dispatch: the second
+        # waiter must still run at the firing instant.
+        sim = Simulator()
+        event = sim.event("e")
+        log = []
+
+        def first(sim):
+            yield event
+            yield 5.0
+            log.append(("first", sim.now))
+
+        def second(sim):
+            yield event
+            log.append(("second", sim.now))
+
+        sim.process(first(sim))
+        sim.process(second(sim))
+        sim.schedule(10.0, event.succeed)
+        sim.run()
+        assert log == [("second", 10.0), ("first", 15.0)]
+
+    def test_second_waiter_on_handoff_sees_release_time(self):
+        # A Resource.release handoff grants the waiter through the grant
+        # event's dispatch; a second watcher of that grant runs after it.
+        sim = Simulator()
+        slot = sim.resource(1)
+        log = []
+        grants = []
+
+        def holder(sim):
+            yield slot.request()
+            yield 10.0
+            slot.release()
+
+        def waiter(sim):
+            grant = slot.request()
+            grants.append(grant)
+            yield grant
+            yield 5.0
+            log.append(("waiter", sim.now))
+            slot.release()
+
+        def watcher(sim):
+            yield grants[0]
+            log.append(("watcher", sim.now))
+
+        sim.process(holder(sim))
+        sim.process(waiter(sim))
+        sim.process(watcher(sim))
+        sim.run()
+        assert log == [("watcher", 10.0), ("waiter", 15.0)]
+        assert slot.in_use == 0
+
+    def test_zero_sleep_in_dispatch_keeps_waiter_order(self):
+        # A zero sleep moves no clock, but waking in place would still
+        # run the first waiter's next step before the second waiter's.
+        sim = Simulator()
+        event = sim.event("e")
+        log = []
+
+        def first(sim):
+            yield event
+            yield 0.0
+            log.append(("first", sim.now))
+
+        def second(sim):
+            yield event
+            log.append(("second", sim.now))
+
+        sim.process(first(sim))
+        sim.process(second(sim))
+        sim.schedule(10.0, event.succeed)
+        sim.run()
+        assert log == [("second", 10.0), ("first", 10.0)]
+
+    def test_sleep_ending_at_until_runs_in_that_call(self):
+        sim = Simulator()
+        log = []
+
+        def sleeper(sim):
+            yield 10.0
+            log.append(sim.now)
+            yield 5.0
+            log.append(sim.now)
+
+        sim.process(sleeper(sim))
+        assert sim.run(until=10.0) == 10.0
+        assert log == [10.0]
+        # The 5 ms sleep ends past until=12 and stays queued.
+        assert sim.run(until=12.0) == 12.0
+        assert log == [10.0] and len(sim._queue) == 1
+        sim.run()
+        assert log == [10.0, 15.0] and sim.now == 15.0
+
+    def test_step_executes_exactly_one_entry(self):
+        sim = Simulator()
+        log = []
+
+        def sleeper(sim):
+            for _ in range(3):
+                yield 1.0
+                log.append(sim.now)
+
+        sim.process(sleeper(sim))
+        sim.step()  # the start entry: the first sleep is queued, not run
+        assert (sim.now, sim.steps, log, len(sim._queue)) == (0.0, 1, [], 1)
+        sim.step()
+        assert (sim.now, sim.steps, log, len(sim._queue)) == (1.0, 2, [1.0], 1)
+        sim.run()
+        assert (sim.now, sim.steps, log) == (3.0, 4, [1.0, 2.0, 3.0])
+
+    def test_steps_count_every_wake(self):
+        def sleeps(sim):
+            for _ in range(50):
+                yield 2.0
+
+        def timeouts(sim):
+            for _ in range(50):
+                yield sim.timeout(2.0)
+
+        counts = []
+        for body in (sleeps, timeouts):
+            sim = Simulator()
+            sim.process(body(sim))
+            sim.run()
+            assert sim.now == 100.0
+            counts.append((sim.steps, sim._queue._seq))
+        # The start entry plus 50 wakes, and one seq per wake, either way.
+        assert counts == [(51, 51), (51, 51)]
+
+    def test_interrupt_at_spawn_instant_skips_the_body(self):
+        sim = Simulator()
+        ran = []
+
+        def body(sim):
+            ran.append(sim.now)
+            yield 1.0
+
+        p = sim.process(body(sim))
+        p.interrupt("early")
+        sim.run()
+        assert ran == []
+        assert not p.ok and isinstance(p.value, Interrupt)
+        assert p.value.cause == "early"
+
+    def test_zero_sleep_never_jumps_a_queued_entry(self):
+        sim = Simulator()
+        log = []
+
+        def a(sim):
+            log.append("a0")
+            sim.schedule(0.0, log.append, "cb")
+            yield 0.0
+            log.append("a1")
+            yield 0
+            log.append("a2")
+
+        def b(sim):
+            log.append("b")
+            yield 0.0
+            log.append("b1")
+
+        sim.process(a(sim))
+        sim.process(b(sim))
+        sim.run()
+        assert log == ["a0", "b", "cb", "a1", "b1", "a2"]
+        assert sim.now == 0.0
 
 
 class TestComposites:
@@ -415,6 +693,23 @@ class TestResource:
             sim.process(worker(sim))
         sim.run()
         assert starts == [0.0, 0.0, 10.0]
+
+    def test_try_request_takes_only_a_free_slot(self):
+        sim = Simulator()
+        res = sim.resource(capacity=1)
+        assert res.try_request() is True
+        assert (res.in_use, res.queued) == (1, 0)
+        # Full: nothing is taken and nothing queues.
+        assert res.try_request() is False
+        assert (res.in_use, res.queued) == (1, 0)
+        grant = res.request()
+        assert not grant.triggered and res.queued == 1
+        # The release hands the slot to the queued request, so a free
+        # slot never appears for try_request() to jump the waiter.
+        res.release()
+        assert res.try_request() is False
+        sim.run()
+        assert grant.triggered and res.in_use == 1
 
     def test_release_idle_raises(self):
         sim = Simulator()
