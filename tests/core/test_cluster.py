@@ -123,3 +123,44 @@ class TestBookkeeping:
         platform.run(until=10_000)
         for host in provider.hosts:
             assert not host._control_running
+
+
+class TestReuseCounters:
+    def test_donor_reuse_counts_match_host_pools(self):
+        """The cluster's relaxed/repurpose counts are the hosts' pool
+        counts: one source, read at the cluster level."""
+        from repro.containers import Registry, derive_image, make_base_image
+        from repro.core import HotCConfig, KeyPolicy
+
+        base = make_base_image("python", "3.6", size_mb=330, language="python")
+        app_a = derive_image(base, "app/a", tag="1", extra_mb=12.0)
+        app_b = derive_image(base, "app/b", tag="1", extra_mb=14.0)
+        config = HotCConfig(
+            control_interval_ms=0.0,
+            fallback_key_policy=KeyPolicy.RELAXED,
+            repurpose=True,
+        )
+        platform = make_cluster_platform(
+            Registry([base, app_a, app_b]), n_hosts=2, seed=0,
+            jitter_sigma=0.0, hotc_config=config,
+        )
+        # a0/a1 differ only in env (same relaxed key); b shares a0's
+        # base layers (a repurpose donor).
+        for name, image, env in (
+            ("a0", app_a, (("MODE", "0"),)),
+            ("a1", app_a, (("MODE", "1"),)),
+            ("b", app_b, ()),
+        ):
+            platform.deploy(
+                FunctionSpec(name=name, image=image.reference, exec_ms=20.0, env=env)
+            )
+        for phase in (("a0", "a0"), ("a1", "a1"), ("b", "b"), ("a0", "b")):
+            for name in phase:
+                platform.submit(name)
+            platform.run()
+        cluster = platform.provider
+        relaxed = [host.pool.stats.relaxed_hits for host in cluster.hosts]
+        repurposed = [host.pool.stats.repurposed for host in cluster.hosts]
+        assert all(relaxed) and all(repurposed), "a donor stage never engaged"
+        assert cluster.stats.relaxed_hits == sum(relaxed)
+        assert cluster.stats.repurposes == sum(repurposed)
