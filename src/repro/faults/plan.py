@@ -380,14 +380,14 @@ class FaultPlan:
         return cls(seed=seed, spec=spec, scheduled=tuple(scheduled))
 
     # -- installation ---------------------------------------------------------
-    def install(self, sim, engines, recovery=None) -> Dict[str, "FaultInjector"]:
+    def install(self, sim, engines) -> Dict[str, "FaultInjector"]:
         """Attach one injector per engine and arm the scheduled faults.
 
         Scheduled entries naming an unknown host target the first
-        engine.  ``recovery`` is the
-        :class:`~repro.recovery.RecoveryManager` that CONTROLLER_CRASH
-        entries crash and recover; scheduling one without a manager is a
-        plan error.  Returns the injectors by engine name.
+        engine.  CONTROLLER_CRASH entries crash and recover the
+        :class:`~repro.recovery.RecoveryManager` in ``sim.recovery``;
+        scheduling one with no manager attached is a plan error.
+        Returns the injectors by engine name.
         """
         from repro.faults.injector import FaultInjector
 
@@ -429,10 +429,11 @@ class FaultPlan:
                 sim.schedule(delay, self._begin_heartbeat_loss, injector)
                 sim.schedule(after, self._end_heartbeat_loss, injector)
             else:  # CONTROLLER_CRASH
+                recovery = sim.recovery
                 if recovery is None:
                     raise ValueError(
                         "the plan schedules a CONTROLLER_CRASH but no "
-                        "recovery manager was passed to install()"
+                        "recovery manager is attached to the simulator"
                     )
                 sim.schedule(delay, self._crash_controller, recovery)
                 sim.schedule(after, self._recover_controller, recovery)

@@ -149,3 +149,34 @@ class TestScheduledFaults:
         platform.run(until=60_000.0)
         assert platform.traces.failed_count() == 0
         assert len(platform.traces) == 1
+
+    def _crash_plan(self):
+        return FaultPlan(
+            seed=0,
+            scheduled=(
+                ScheduledFault(
+                    at_ms=1_000.0,
+                    kind=FaultKind.CONTROLLER_CRASH,
+                    duration_ms=500.0,
+                ),
+            ),
+        )
+
+    def test_controller_crash_needs_a_recovery_manager(self, registry, fn_python):
+        platform = self._platform(registry, fn_python)
+        with pytest.raises(ValueError, match="CONTROLLER_CRASH"):
+            self._crash_plan().install(platform.sim, [platform.engine])
+
+    def test_controller_crash_uses_the_attached_manager(self, registry, fn_python):
+        from repro.recovery import RecoveryManager
+
+        platform = self._platform(registry, fn_python)
+        manager = RecoveryManager(platform.provider)
+        plan = self._crash_plan()
+        plan.install(platform.sim, [platform.engine])
+        platform.run(until=1_200.0)
+        assert manager.crashed
+        platform.run(until=2_000.0)
+        assert not manager.crashed
+        assert manager.stats.crashes == manager.stats.recoveries == 1
+        assert plan.stats.controller_crashes == 1

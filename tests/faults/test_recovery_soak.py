@@ -117,9 +117,7 @@ def build(registry, fn_python, fn_go, seed):
 
 def run_storm(platform, cluster, monitor, manager, seed, functions):
     plan = fault_plan(seed, tuple(h.engine.name for h in cluster.hosts))
-    plan.install(
-        platform.sim, [h.engine for h in cluster.hosts], recovery=manager
-    )
+    plan.install(platform.sim, [h.engine for h in cluster.hosts])
     monitor.start()
     cluster.start_control_loops()
     last = submit_workload(platform, seed, functions)

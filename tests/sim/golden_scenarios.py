@@ -344,7 +344,7 @@ def scenario_hotc_paths(seed: int = 0, observatory=None) -> dict:
         ),
     )
     injectors = plan.install(
-        platform.sim, [host.engine for host in cluster.hosts], recovery=manager
+        platform.sim, [host.engine for host in cluster.hosts]
     )
     # Six failed boots in a row open breakers on host-0; slow boots on
     # host-1 are still in flight when its outage hits.
@@ -401,7 +401,11 @@ def scenario_hotc_paths(seed: int = 0, observatory=None) -> dict:
         "requests": requests,
         "pool": [asdict(host.pool.stats) for host in cluster.hosts],
         "engine": [asdict(host.engine.stats) for host in cluster.hosts],
-        "cluster": asdict(cluster.stats),
+        "cluster": {
+            **asdict(cluster.stats),
+            "relaxed_hits": cluster.stats.relaxed_hits,
+            "repurposes": cluster.stats.repurposes,
+        },
         "faults": plan.stats.as_dict(),
         "events": dict(
             sorted(Counter(e.kind.value for e in observatory.events).items())
