@@ -148,8 +148,9 @@ class _FunctionState:
 class AdmissionController:
     """Overload protection shared by every gateway of a platform.
 
-    Attach through :meth:`repro.faas.platform.FaasPlatform.attach_admission`,
-    which binds the simulator and sets its ``admission`` slot.  Every
+    Attach with :meth:`attach` (``FaasPlatform.attach_admission`` and
+    the scenario runner's trace arms both call it), which binds the
+    simulator and sets its ``admission`` slot.  Every
     gateway and every HotC host reads the controller from that slot:
     gateways admit and release through it, and each host's control
     loop reports its memory pressure and drives the AIMD tick.
@@ -169,9 +170,10 @@ class AdmissionController:
         self._last_tick = -_INF
 
     # -- wiring -----------------------------------------------------------
-    def bind(self, sim) -> None:
-        """Bind the simulator (done by ``attach_admission``)."""
+    def attach(self, sim) -> None:
+        """Bind the simulator and take its ``admission`` slot."""
         self.sim = sim
+        sim.admission = self
 
     # -- brownout -----------------------------------------------------------
     def observe_pressure(

@@ -170,8 +170,7 @@ class FaasPlatform:
         platform is bit-identical to one built before overload
         protection existed.
         """
-        controller.bind(self.sim)
-        self.sim.admission = controller
+        controller.attach(self.sim)
 
     # -- deployment -------------------------------------------------------
     def deploy(self, spec: FunctionSpec) -> None:

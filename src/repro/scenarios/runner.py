@@ -274,10 +274,7 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
                 default_deadline_ms=spec.admission.default_deadline_ms,
             )
         )
-        # Bound but not attached: ``sim.admission`` stays unset, so no
-        # host tick drives this controller's AIMD limits or brownout
-        # (a known gap, DESIGN.md §13).
-        admission.bind(sim)
+        admission.attach(sim)
 
     for image, _ in _TRACE_IMAGES[: spec.traffic.n_images]:
         for engine in engines:

@@ -18,7 +18,7 @@ def make_controller(sim, **overrides):
     )
     kwargs.update(overrides)
     ctrl = AdmissionController(AdmissionConfig(**kwargs))
-    ctrl.bind(sim)
+    ctrl.attach(sim)
     return ctrl
 
 

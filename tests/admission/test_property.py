@@ -47,7 +47,7 @@ def test_shed_plus_done_plus_missed_equals_submitted():
             default_deadline_ms=80.0,
         )
     )
-    ctrl.bind(sim)
+    ctrl.attach(sim)
     specs = build_specs()
     rng = np.random.default_rng(derive_seed(17, "admission-property"))
     counts = {"done": 0, "shed": 0, "deadline": 0}

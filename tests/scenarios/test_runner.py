@@ -209,6 +209,27 @@ class TestTraceArms:
         assert arm.requests + arm.failed > 0
         assert sum(row.shed for row in arm.tenants) == arm.shed
 
+    def test_adaptive_trace_arm_ticks_admission(self, monkeypatch):
+        """An adaptive arm's host control ticks drive the attached
+        admission controller's AIMD interval, as on the platform."""
+        from repro.admission.controller import AdmissionController
+
+        ticks = []
+        tick = AdmissionController.tick
+
+        def record_tick(self, now):
+            ticks.append(now)
+            tick(self, now)
+
+        monkeypatch.setattr(AdmissionController, "tick", record_tick)
+        run_scenario(
+            small_trace_spec(
+                admission=AdmissionSpec(),
+                arms=(ArmSpec(name="hotc", use_hotc=True, adaptive=True),),
+            )
+        )
+        assert ticks
+
     def test_faulted_trace_arm_stays_accounted(self):
         spec = small_trace_spec(
             faults=FaultsSpec(outages=1, outage_ms=30_000.0),
