@@ -21,7 +21,7 @@ ablation can quantify skew.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.containers.container import Container, ContainerConfig, ContainerError
@@ -41,23 +41,35 @@ __all__ = [
 
 @dataclass
 class ClusterStats:
-    """Routing counters for one cluster."""
+    """Routing counters for one cluster, plus its hosts' donor reuse."""
 
+    #: The cluster's hosts, read by the donor-reuse sums (not a field,
+    #: so ``asdict`` stays the routing counters).
+    hosts: InitVar[Sequence[HotC]] = ()
     reuse_routed: int = 0
     cold_routed: int = 0
-    #: Acquires a host served by reconfiguring a relaxed-key match.
-    relaxed_hits: int = 0
-    #: Acquires a host served by repurposing an idle donor container.
-    repurposes: int = 0
     #: Requests re-routed to another host after an acquire failure.
     failovers: int = 0
     #: Host outages detected (a host recovering and dying again counts twice).
     hosts_lost: int = 0
 
+    def __post_init__(self, hosts: Sequence[HotC]) -> None:
+        self._hosts = hosts
+
     @property
     def total_routed(self) -> int:
         """All routing decisions taken."""
         return self.reuse_routed + self.cold_routed
+
+    @property
+    def relaxed_hits(self) -> int:
+        """Acquires a host served by reconfiguring a relaxed-key match."""
+        return sum(host.pool.stats.relaxed_hits for host in self._hosts)
+
+    @property
+    def repurposes(self) -> int:
+        """Acquires a host served by repurposing an idle donor container."""
+        return sum(host.pool.stats.repurposed for host in self._hosts)
 
 
 class ClusterHotC(RuntimeProvider):
@@ -87,7 +99,7 @@ class ClusterHotC(RuntimeProvider):
         self.placement = placement
         self.hosts: List[HotC] = [HotC(engine, config) for engine in engines]
         self.sim = self.hosts[0].sim
-        self.stats = ClusterStats()
+        self.stats = ClusterStats(self.hosts)
         self._inflight: Dict[int, int] = {index: 0 for index in range(len(engines))}
         self._by_container: Dict[str, int] = {}
         self._rr_next = 0
@@ -291,13 +303,6 @@ class ClusterHotC(RuntimeProvider):
                     raise  # nothing left to fail over to
                 reason = type(error).__name__
             else:
-                # Cluster-level reuse metadata: how the serving host
-                # actually obtained the container (the routing guess
-                # above is made before the host answers).
-                if container.reuse == "relaxed":
-                    self.stats.relaxed_hits += 1
-                elif container.reuse == "repurpose":
-                    self.stats.repurposes += 1
                 self._by_container[container.container_id] = index
                 return container, cold
             self.stats.failovers += 1
@@ -356,7 +361,9 @@ class ClusterHotC(RuntimeProvider):
     # -- checkpoint / crash / recover ---------------------------------------
     def snapshot_state(self):
         """Provider hook: one host checkpoint per backend."""
-        return tuple(host._snapshot_host() for host in self.hosts)
+        return tuple(
+            checkpoint for host in self.hosts for checkpoint in host.snapshot_state()
+        )
 
     def crash_control_plane(self) -> int:
         """Lose the scheduler's and every host's indexed state."""
@@ -378,14 +385,9 @@ class ClusterHotC(RuntimeProvider):
         from the leased (request-owned) pool entries and re-derives the
         down-set from engine reachability.
         """
-        host_checkpoints = {}
-        if checkpoint is not None:
-            host_checkpoints = {hc.host: hc for hc in checkpoint.hosts}
         repairs = []
         for host in self.hosts:
-            repairs.extend(
-                host._recover_host(host_checkpoints.get(host.engine.name))
-            )
+            repairs.extend(host.recover_from(checkpoint))
         self._by_container.clear()
         for index, host in enumerate(self.hosts):
             inflight = 0

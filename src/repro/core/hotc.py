@@ -31,11 +31,7 @@ from repro.core.predictor.combined import CombinedPredictor
 from repro.core.predictor.controller import AdaptivePoolController
 from repro.core.similarity import KeySimilarityModel
 from repro.faas.platform import RuntimeProvider
-from repro.health.container import (
-    ContainerCondition,
-    ContainerHealthConfig,
-    ContainerHealthPlane,
-)
+from repro.health.container import ContainerHealthConfig, ContainerHealthPlane
 from repro.obs.events import EventKind
 from repro.faults.errors import (
     BootFailure,
@@ -64,6 +60,24 @@ BOOT_BACKOFF_JITTER = 0.1
 #: How long an open per-key boot breaker refuses boots before its
 #: half-open probe.
 BREAKER_COOLDOWN_MS = 5_000.0
+
+#: What the observatory records for a claim, by ``(reuse, found)``: an
+#: exact lookup is a hit or a miss, a relaxed donor claim a relaxed hit;
+#: a repurpose claim records ``REPURPOSE`` only once it is adopted.
+_CLAIM_EVENTS = {
+    ("hit", True): (
+        EventKind.POOL_HIT, "pool_hits_total",
+        "Acquires served by a pooled warm container",
+    ),
+    ("hit", False): (
+        EventKind.POOL_MISS, "pool_misses_total",
+        "Acquires that fell through to a cold boot",
+    ),
+    ("relaxed", True): (
+        EventKind.POOL_RELAXED_HIT, "pool_relaxed_hits_total",
+        "Acquires served by reconfiguring a relaxed-key match",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -184,10 +198,20 @@ class HotC(RuntimeProvider):
             if self.config.repurpose
             else None
         )
+        #: The donor stages an exact miss falls through, in order: the
+        #: relaxed fallback, then repurposing, each only when opted in.
+        self._donor_stages = tuple(
+            stage
+            for enabled, stage in (
+                (self.config.fallback_key_policy is not None, self._relaxed_donors),
+                (self.similarity is not None, self._repurpose_donors),
+            )
+            if enabled
+        )
         #: True between crash_control_plane() and recover_from():
         #: acquire fails fast, the control loop skips its tick.
         self._crashed = False
-        #: Bumped by absorb_pending_boots(); a prewarm landing with a
+        #: Bumped by drain_lost(); a prewarm landing with a
         #: stale epoch belongs to a previous host life and is retired.
         self._prewarm_epoch = 0
         #: Container health plane (aging/contamination verdicts), only
@@ -201,17 +225,6 @@ class HotC(RuntimeProvider):
             else None
         )
         self.cleanup.health = self.container_health
-        #: Quarantined ``(container, key, reason)`` triples awaiting
-        #: their token-bucket-limited recycle.
-        self._recycle_queue: List[tuple] = []
-        #: Recycle token bucket: starts full so the first verdicts act
-        #: immediately; refilled lazily from sim-time deltas.
-        self._recycle_tokens: float = (
-            float(self.config.container_health.recycle_burst)
-            if self.config.container_health is not None
-            else 0.0
-        )
-        self._recycle_refill_at = 0.0
 
     # -- the provider protocol ------------------------------------------------
     def key_of(self, config: ContainerConfig) -> RuntimeKey:
@@ -247,11 +260,11 @@ class HotC(RuntimeProvider):
         if state.busy > state.peak:
             state.peak = state.busy
         try:
-            container = self._pool_acquire_healthy(key)
+            container = self._claim(key, "hit")
             if container is not None:
                 container.reuse = "hit"
                 container.respec_ms = 0.0
-            else:
+            elif self._donor_stages:
                 container = yield from self._acquire_donor(key, config)
             if container is not None:
                 container.leased = True
@@ -280,81 +293,57 @@ class HotC(RuntimeProvider):
             state = self._keys[key] = _KeyState(config)
         return state
 
-    def _pool_acquire_healthy(self, key: RuntimeKey) -> Optional[Container]:
-        """Pool lookup that discards entries whose container has died.
+    def _claim(self, key: RuntimeKey, reuse: str) -> Optional[Container]:
+        """Claim an idle container of ``key``, discarding dead entries.
+
+        ``reuse`` is ``"hit"`` for the requester's own key, whose pool
+        lookup counts a hit or a miss.  A donor stage passes its name
+        (``"relaxed"``/``"repurpose"``): the requester's miss is already
+        counted, so the donor key records neither, and the donor is
+        leased at once — the re-spec sleep that follows is a window where
+        a concurrent recovery sweep must see it as request-owned.
 
         Containers can be killed out from under the pool (host OOM,
         crash injection in tests); a dead entry must not be handed to a
-        request.  The observatory records each lookup as the pool
+        request.  The observatory records each claim as the pool
         answered it, so it keeps a dead entry's hit that the pool's
         stats un-count.
         """
+        exact = reuse == "hit"
         obs = self.sim.obs
         while True:
-            container = self.pool.acquire(key, now=self.sim.now)
+            if exact:
+                container = self.pool.acquire(key, now=self.sim.now)
+            else:
+                container = self.pool.acquire_donor(key, now=self.sim.now, reuse=reuse)
             if obs is not None:
-                host = self.engine.name
-                if container is None:
+                event = _CLAIM_EVENTS.get((reuse, container is not None))
+                if event is not None:
+                    kind, name, help = event
+                    host = self.engine.name
                     obs.record(
-                        EventKind.POOL_MISS, self.sim.now, "pool_misses_total",
-                        "Acquires that fell through to a cold boot",
+                        kind, self.sim.now, name, help,
                         {"host": host, "key": str(key)}, host=host, key=str(key),
                     )
-                else:
-                    obs.record(
-                        EventKind.POOL_HIT, self.sim.now, "pool_hits_total",
-                        "Acquires served by a pooled warm container",
-                        {"host": host, "key": str(key)}, host=host, key=str(key),
-                    )
-            if container is None or container.is_reusable:
-                return container
-            # Not a real hit: un-count it so the retry is the only
-            # lookup in the pool's stats and hit_ratio stays honest.
-            self.cleanup.discard_dead(container)
-
-    def _donor_acquire_healthy(
-        self, key: RuntimeKey, reuse: str
-    ) -> Optional[Container]:
-        """Claim an idle donor of ``key``, discarding dead entries.
-
-        Unlike :meth:`_pool_acquire_healthy` this books the reuse as
-        ``relaxed``/``repurpose`` rather than an exact hit — the
-        requesting key's miss was already counted, so the donor key
-        must record neither a hit nor a second miss.
-        """
-        obs = self.sim.obs
-        while True:
-            container = self.pool.acquire_donor(key, now=self.sim.now, reuse=reuse)
             if container is None:
                 return None
-            if obs is not None and reuse == "relaxed":
-                host = self.engine.name
-                obs.record(
-                    EventKind.POOL_RELAXED_HIT, self.sim.now,
-                    "pool_relaxed_hits_total",
-                    "Acquires served by reconfiguring a relaxed-key match",
-                    {"host": host, "key": str(key)}, host=host, key=str(key),
-                )
             if container.is_reusable:
-                # Lease immediately: the re-spec yield that follows is a
-                # window where a concurrent recovery sweep must see this
-                # container as request-owned, not idle.
-                container.leased = True
+                if not exact:
+                    container.leased = True
                 return container
+            # Not a real claim: un-count it so the retry is the only
+            # lookup in the pool's stats and hit_ratio stays honest.
             self.cleanup.discard_dead(container, reuse=reuse)
 
     def _donors(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
         """``(reuse, donor_key, cost, score)`` rows, stage by stage.
 
-        The relaxed fallback first, then repurposing, each only when
-        opted in.  A stage ranks its donors only once the previous one
-        is exhausted: a failed re-spec yields sim time, and the pool
-        may have changed meanwhile.
+        A stage ranks its donors only once the previous one is
+        exhausted: a failed re-spec yields sim time, and the pool may
+        have changed meanwhile.
         """
-        if self.config.fallback_key_policy is not None:
-            yield from self._relaxed_donors(key, config)
-        if self.similarity is not None:
-            yield from self._repurpose_donors(key, config)
+        for stage in self._donor_stages:
+            yield from stage(key, config)
 
     def _idle_donors(self, key: RuntimeKey) -> Generator:
         """``(donor_key, state)`` of every other pooled key with an idle
@@ -422,7 +411,7 @@ class HotC(RuntimeProvider):
         entry, and discard_dead tolerates that — and the next is tried.
         """
         for reuse, donor_key, cost, score in self._donors(key, config):
-            container = self._donor_acquire_healthy(donor_key, reuse)
+            container = self._claim(donor_key, reuse)
             if container is None:
                 continue
             if cost is None:
@@ -646,7 +635,7 @@ class HotC(RuntimeProvider):
                 # Demote-drain-replace: out of every index now, destroyed
                 # under the token bucket, replaced by a paired prewarm.
                 self._quarantine_for_recycle(container, key, reason)
-                yield from self._drain_recycle_queue()
+                yield from self._drain_recycles()
                 return
         yield from self.cleanup.clean_and_recycle(container)
         # Post-release pressure check: the paper terminates the oldest
@@ -672,9 +661,7 @@ class HotC(RuntimeProvider):
             self.container_health.observe_failure(container, key, self.sim.now)
             if self.pool.contains(container) and container.is_live:
                 self._quarantine_for_recycle(container, key, "breaker")
-                self.sim.process(
-                    self._drain_recycle_queue(), name="hotc-recycle"
-                )
+                self.sim.process(self._drain_recycles(), name="hotc-recycle")
                 return
         self.cleanup.forget(container)
         if container.is_live:
@@ -691,40 +678,20 @@ class HotC(RuntimeProvider):
 
         The entry leaves every availability index immediately — no
         acquire, donor claim or half-open probe can see it once this
-        returns — and joins the recycle queue; the destroy itself waits
-        for a token so a wave of simultaneous verdicts cannot become a
-        cold-start storm.
+        returns — and joins the plane's recycle queue; the destroy
+        itself waits for a token so a wave of simultaneous verdicts
+        cannot become a cold-start storm.
         """
-        plane = self.container_health
-        record = plane.record_of(container)
-        if record is None or record.state is not ContainerCondition.QUARANTINED:
-            plane.condemn(container, record, self.sim.now, reason=reason)
+        self.container_health.queue_recycle(container, key, reason, self.sim.now)
         self.pool.quarantine(container)
-        self._recycle_queue.append((container, key, reason))
 
-    def _refill_recycle_tokens(self) -> None:
-        config = self.config.container_health
-        elapsed = self.sim.now - self._recycle_refill_at
-        if elapsed > 0.0:
-            self._recycle_tokens = min(
-                float(config.recycle_burst),
-                self._recycle_tokens
-                + config.recycle_rate_per_s * elapsed / 1000.0,
-            )
-            self._recycle_refill_at = self.sim.now
+    def _drain_recycles(self, paced: bool = True) -> Generator:
+        """Process: recycle what the plane hands out (see its ``drain``).
 
-    def _drain_recycle_queue(self) -> Generator:
-        """Process: destroy queued containers while tokens last.
-
-        Runs from release() and from the control tick; overlapping
-        drains are safe — each queue item is popped exactly once and a
-        token is spent before any yield.  Items the bucket cannot cover
-        stay queued for the next tick.
+        Runs from release(), discard() and the control tick, paced by
+        the plane's token bucket; shutdown drains unpaced.
         """
-        self._refill_recycle_tokens()
-        while self._recycle_queue and self._recycle_tokens >= 1.0:
-            self._recycle_tokens -= 1.0
-            container, key, reason = self._recycle_queue.pop(0)
+        for container, key, reason in self.container_health.drain(paced):
             yield from self._recycle_one(container, key, reason)
 
     def _recycle_one(
@@ -763,27 +730,14 @@ class HotC(RuntimeProvider):
                 if reason is not None:
                     self._quarantine_for_recycle(entry.container, key, reason)
 
-    def drain_dead(self) -> int:
-        """Purge pool metadata of containers that are no longer live.
-
-        Called by the cluster scheduler when it detects a host outage:
-        the dead host's pool entries must not keep attracting reuse
-        routing.  Returns the number of entries dropped.
-        """
-        removed = 0
-        for entry in self.pool.entries():
-            if not entry.container.is_live:
-                self.cleanup.forget(entry.container)
-                removed += 1
-        return removed
-
     # -- checkpoint / crash / recover -----------------------------------------
-    def _snapshot_host(self) -> HostCheckpoint:
-        """This host's recoverable control-plane state, as pure data."""
+    def snapshot_state(self) -> tuple:
+        """Provider hook: this host's recoverable control-plane state, as
+        a one-element tuple of pure-data host checkpoints."""
         entries = sorted(
             self.pool.entries(), key=lambda entry: entry.container.container_id
         )
-        return HostCheckpoint(
+        checkpoint = HostCheckpoint(
             host=self.engine.name,
             entries=tuple(
                 PoolEntrySnapshot(e.container.container_id, e.key, e.available)
@@ -797,10 +751,7 @@ class HotC(RuntimeProvider):
                 if state.breaker is not None
             },
         )
-
-    def snapshot_state(self):
-        """Provider hook: the tuple of host checkpoints (one here)."""
-        return (self._snapshot_host(),)
+        return (checkpoint,)
 
     def crash_control_plane(self) -> int:
         """Lose every indexed control-plane structure; data plane lives.
@@ -817,22 +768,18 @@ class HotC(RuntimeProvider):
         # Health records and the recycle queue are in-memory control
         # state too; the ``condemned`` flag stays on the containers, so
         # the recovery sweep retires them instead of re-adopting.
-        self._recycle_queue.clear()
         if self.container_health is not None:
-            self.container_health = ContainerHealthPlane(
-                self.config.container_health, self.sim, host=self.engine.name
-            )
-            self.cleanup.health = self.container_health
+            self.container_health.reset()
         return lost
 
-    def _recover_host(
-        self, checkpoint: Optional[HostCheckpoint]
-    ) -> List[RepairEvent]:
-        """Anti-entropy: rebuild the pool from engine ground truth.
+    def recover_from(self, checkpoint=None) -> List[RepairEvent]:
+        """Provider hook, anti-entropy: rebuild the pool from engine
+        ground truth.
 
-        The checkpoint restores state with no ground truth (predictor,
-        breakers, configs) and classifies divergences; the pool itself
-        is rebuilt from ``engine.live_containers()``: leased containers
+        This host's entry in ``checkpoint`` (if any) restores state with
+        no ground truth (predictor, breakers, configs) and classifies
+        divergences; the pool itself is rebuilt from
+        ``engine.live_containers()``: leased containers
         are re-adopted busy, containers mid-recycle re-registered
         unavailable (their in-flight cleanup will release them), idle
         reusable ones rejoin as available while capacity lasts, and
@@ -841,13 +788,15 @@ class HotC(RuntimeProvider):
         repairs: List[RepairEvent] = []
         now = self.sim.now
         host = self.engine.name
+        hosts = checkpoint.hosts if checkpoint is not None else ()
+        saved = next((hc for hc in hosts if hc.host == host), None)
         snapshots = {}
-        if checkpoint is not None:
-            snapshots = {s.container_id: s for s in checkpoint.entries}
-            for key, config in checkpoint.configs.items():
+        if saved is not None:
+            snapshots = {s.container_id: s for s in saved.entries}
+            for key, config in saved.configs.items():
                 self._learn(key, config)
-            self.controller = copy.deepcopy(checkpoint.controller)
-            for key, breaker in checkpoint.breakers.items():
+            self.controller = copy.deepcopy(saved.controller)
+            for key, breaker in saved.breakers.items():
                 self._keys[key].breaker = copy.deepcopy(breaker)
         seen = set()
         for container in self.engine.live_containers():
@@ -908,13 +857,6 @@ class HotC(RuntimeProvider):
         self._crashed = False
         return repairs
 
-    def recover_from(self, checkpoint=None) -> List[RepairEvent]:
-        """Provider hook: recover this single host from ``checkpoint``."""
-        hosts = checkpoint.hosts if checkpoint is not None else ()
-        return self._recover_host(
-            next((hc for hc in hosts if hc.host == self.engine.name), None)
-        )
-
     def check_consistency(self) -> None:
         """Invariant audit across the engine, the pool and the demand accounting."""
         self.engine.check_consistency()
@@ -927,11 +869,12 @@ class HotC(RuntimeProvider):
             assert (
                 0 < prewarms <= self._pending_boots.get(key, 0)
             ), f"prewarm count for {key} exceeds its pending boots"
-        for item in self._recycle_queue:
-            assert self.pool.is_quarantined(item[0]), (
-                f"queued-for-recycle container {item[0].container_id} "
-                "is not quarantined"
-            )
+        if self.container_health is not None:
+            for container, _, _ in self.container_health.queue:
+                assert self.pool.is_quarantined(container), (
+                    f"queued-for-recycle container {container.container_id} "
+                    "is not quarantined"
+                )
 
     def scan_divergences(self) -> List[str]:
         """Report-only sweep comparing the pool against ground truth.
@@ -970,12 +913,11 @@ class HotC(RuntimeProvider):
         for key in tuple(self.pool.keys()):
             for entry in self.pool.available_entries(key):
                 yield from self.cleanup.retire(entry.container)
-        # Flush the recycle queue ignoring the token bucket: rate
-        # limiting protects a serving host from destroy storms, but a
-        # draining host must leave nothing behind.
-        while self._recycle_queue:
-            container, key, reason = self._recycle_queue.pop(0)
-            yield from self._recycle_one(container, key, reason)
+        if self.container_health is not None:
+            # Flush the recycle queue ignoring the token bucket: rate
+            # limiting protects a serving host from destroy storms, but
+            # a draining host must leave nothing behind.
+            yield from self._drain_recycles(paced=False)
 
     # -- demand accounting ------------------------------------------------------
     def _bump_busy(self, key: RuntimeKey, delta: int) -> None:
@@ -1012,31 +954,26 @@ class HotC(RuntimeProvider):
         """In-flight boots across all keys (count against the cap)."""
         return sum(self._pending_boots.values())
 
-    def absorb_pending_boots(self) -> int:
-        """Release the cap reservations of in-flight prewarm boots.
+    def drain_lost(self) -> None:
+        """This host was declared lost (outage failover or a detector
+        drain).
 
-        Called when this host is declared lost (outage failover or a
-        detector-driven drain): its prewarm boots will never land
-        usefully, yet their ``_pending_boots`` entries would keep
-        counting against ``max_containers`` — after enough outages a
-        host could refuse boots forever.  The boot processes themselves
-        are not interrupted; bumping the epoch makes each landing
-        detect that its reservation is gone and retire any container it
-        produced.  Returns the number of reservations absorbed.
+        Its dead pool entries are purged so they stop attracting reuse
+        routing, and the cap reservations of its in-flight prewarm boots
+        are released: those boots will never land usefully, yet their
+        ``_pending_boots`` entries would keep counting against
+        ``max_containers`` — after enough outages a host could refuse
+        boots forever.  The boot processes themselves are not
+        interrupted; bumping the epoch makes each landing detect that
+        its reservation is gone and retire any container it produced.
         """
-        absorbed = 0
+        for entry in self.pool.entries():
+            if not entry.container.is_live:
+                self.cleanup.forget(entry.container)
         for key, count in self._pending_prewarms.items():
-            absorbed += count
             self._note_pending(key, -count)
         self._pending_prewarms.clear()
         self._prewarm_epoch += 1
-        return absorbed
-
-    def drain_lost(self) -> None:
-        """This host was declared lost (outage or detector drain): purge
-        its dead pool entries and absorb its in-flight prewarm boots."""
-        self.drain_dead()
-        self.absorb_pending_boots()
 
     def _under_pressure(self) -> bool:
         """The paper's memory-pressure heuristic on this host."""
@@ -1175,10 +1112,8 @@ class HotC(RuntimeProvider):
             recovery.on_control_tick(self.sim.now)
         if self.container_health is not None:
             self._health_sweep()
-            if self._recycle_queue:
-                self.sim.process(
-                    self._drain_recycle_queue(), name="hotc-recycle"
-                )
+            if self.container_health.queue:
+                self.sim.process(self._drain_recycles(), name="hotc-recycle")
 
     def _update_brownout(self, admission) -> bool:
         """Report this tick's pressure to admission; True while degraded.

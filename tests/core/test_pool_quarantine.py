@@ -194,7 +194,7 @@ class TestConservationProperty:
     def test_conservation_across_host_failover(self):
         """A failover drain retires dead entries without leaking any.
 
-        Mirrors what ``HotC.drain_dead`` does when the cluster declares
+        Mirrors what ``HotC.drain_lost`` does when the cluster declares
         a host lost: every entry whose container died is removed; the
         quarantine set (its containers also dead) is closed out by the
         in-flight recycles.  Nothing may go missing from the ledger.

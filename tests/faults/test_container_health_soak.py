@@ -188,7 +188,7 @@ class TestContainerHealthSoak:
         assert platform.traces.all_terminal()
         provider.check_consistency()
         assert all(s.busy == 0 for s in provider._keys.values())
-        assert provider._recycle_queue == []
+        assert provider.container_health.queue == []
         assert platform.engine.live_count == 0
 
         # The storm actually exercised the degradation kinds...
