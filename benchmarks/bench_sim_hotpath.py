@@ -24,17 +24,20 @@ Run:
     PYTHONPATH=src python benchmarks/bench_sim_hotpath.py --check
 
 ``--check`` is the fast quality-gate mode wired into the tier-1 pytest
-run (``tests/test_sim_hotpath_gate.py``): it reruns a reduced workload
-on both engines and fails unless the optimized engine clears
-``MIN_HOTLOOP_SPEEDUP`` on the timeout-dominated microbench, so future
-PRs cannot quietly regress the event loop.
+run (``tests/test_sim_hotpath_gate.py``): it times many short
+interleaved naive/optimized pairs of the two timeout workloads and
+fails unless the median pair speedup clears ``MIN_HOTLOOP_SPEEDUP`` on
+the timeout-dominated microbench, so future PRs cannot quietly regress
+the event loop.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -53,10 +56,16 @@ CHURN_ROUNDS = 1_000
 CHAIN_CALLBACKS = 100
 CHAIN_ROUNDS = 1_000
 
-#: ``--check`` gate: reduced sizes, best-of-N timing, minimum speedup of
-#: the optimized engine over the seed engine on the timeout hot loop.
-CHECK_SCALE = 0.25
-CHECK_REPEATS = 3
+#: Seconds each workload runs before any timed run (see ``run_suite``).
+WARMUP_S = 0.3
+
+#: ``--check`` gate: interleaved naive/optimized pairs of short runs,
+#: the ``(procs, rounds)`` of each run, and the floor on the median pair
+#: speedup of the optimized engine over the seed engine on the timeout
+#: hot loop.
+CHECK_PAIRS = 25
+CHECK_HOTLOOP = (25, 500)
+CHECK_CHURN = (25, 250)
 MIN_HOTLOOP_SPEEDUP = 3.0
 
 
@@ -123,13 +132,9 @@ def run_suite(sim_class, scale=1.0, repeats=1):
     paused while timing so a GC cycle triggered by unrelated garbage
     can't torpedo a single run.
     """
-    import gc
-
-    _WARMUP_S = 0.3
-
     def best(fn, *sizes):
         sized = tuple(max(1, int(size * scale)) for size in sizes)
-        warmup_until = time.perf_counter() + _WARMUP_S
+        warmup_until = time.perf_counter() + WARMUP_S
         while time.perf_counter() < warmup_until:
             fn(sim_class, *sized)
         gc_was_enabled = gc.isenabled()
@@ -205,27 +210,49 @@ def measure_parallel_runner(jobs=4, seeds=(0, 1, 2)):
     }
 
 
-def run_check(scale=CHECK_SCALE, repeats=CHECK_REPEATS, attempts=3):
-    """Fast gate: both engines at reduced scale, asserting the speedup.
+def run_check(pairs=CHECK_PAIRS):
+    """Fast gate: the median speedup over interleaved pairs of short runs.
 
-    Returns the comparison; raises AssertionError when the optimized
-    engine no longer clears ``MIN_HOTLOOP_SPEEDUP`` on the timeout loop.
-    A sub-floor attempt is retried up to ``attempts`` times: on a busy
-    single-core host a background burst can depress one whole
-    measurement round, and a genuine complexity regression fails every
-    attempt, so retrying filters noise without masking regressions.
+    Each pair times one short run of a timeout workload on each engine,
+    back to back, the first engine alternating from pair to pair; the
+    gate reads the median of the per-pair speedups.  The two runs of a
+    short pair share the machine's slow and fast phases, so a pair's
+    ratio compares the engines rather than the moment, where best-of-N
+    blocks per engine followed whichever block was luckier.  Returns
+    the median speedups with their quartiles; raises AssertionError
+    when the optimized engine no longer clears ``MIN_HOTLOOP_SPEEDUP``
+    on the timeout loop, or falls behind the seed engine on churn.
     """
-    comparison = None
-    hotloop = churn = 0.0
-    for _ in range(attempts):
-        candidate = run_comparison(scale=scale, repeats=repeats)
-        candidate_hotloop = candidate["speedup"]["timeout_hotloop_events_per_sec"]
-        candidate_churn = candidate["speedup"]["timeout_churn_events_per_sec"]
-        if comparison is None or candidate_hotloop > hotloop:
-            comparison, hotloop = candidate, candidate_hotloop
-            churn = candidate_churn
-        if hotloop >= MIN_HOTLOOP_SPEEDUP and churn >= 1.0:
-            break
+    workloads = {
+        "timeout_hotloop_events_per_sec": (bench_timeout_hotloop, CHECK_HOTLOOP),
+        "timeout_churn_events_per_sec": (bench_timeout_churn, CHECK_CHURN),
+    }
+    engines = (NaiveSimulator, Simulator)
+    for fn, sizes in workloads.values():
+        warmup_until = time.perf_counter() + WARMUP_S
+        while time.perf_counter() < warmup_until:
+            for engine in engines:
+                fn(engine, *sizes)
+    ratios = {metric: [] for metric in workloads}
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for pair in range(pairs):
+            order = engines if pair % 2 == 0 else engines[::-1]
+            for metric, (fn, sizes) in workloads.items():
+                rate = {engine: fn(engine, *sizes) for engine in order}
+                ratios[metric].append(rate[Simulator] / rate[NaiveSimulator])
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    speedup = {metric: round(statistics.median(r), 2) for metric, r in ratios.items()}
+    quartiles = {
+        metric: [round(q, 2) for q in statistics.quantiles(r, n=4)[::2]]
+        for metric, r in ratios.items()
+    }
+    hotloop = speedup["timeout_hotloop_events_per_sec"]
+    churn = speedup["timeout_churn_events_per_sec"]
     assert hotloop >= MIN_HOTLOOP_SPEEDUP, (
         f"sim hot loop regressed: {hotloop:.2f}x over the seed engine is "
         f"below the required {MIN_HOTLOOP_SPEEDUP}x on the timeout microbench"
@@ -233,7 +260,12 @@ def run_check(scale=CHECK_SCALE, repeats=CHECK_REPEATS, attempts=3):
     assert churn >= 1.0, (
         f"cancellation churn regressed below the seed engine: {churn:.2f}x"
     )
-    return comparison
+    return {
+        "pairs": pairs,
+        "sizes": {metric: list(sizes) for metric, (_, sizes) in workloads.items()},
+        "speedup": speedup,
+        "speedup_q1_q3": quartiles,
+    }
 
 
 def main(argv=None):
@@ -268,7 +300,6 @@ def main(argv=None):
     # the committed JSON: smaller heaps concentrate the per-event wins,
     # so this is where the >= 3x floor is measured and asserted.
     comparison["check_gate"] = {
-        "scale": CHECK_SCALE,
         "min_hotloop_speedup": MIN_HOTLOOP_SPEEDUP,
         **run_check(),
     }

@@ -33,6 +33,9 @@ class CircuitBreaker:
     through it without the breaker knowing about registries.
     """
 
+    __slots__ = ("threshold", "cooldown_ms", "state", "on_transition",
+                 "_consecutive_failures", "_opened_at", "_probing")
+
     def __init__(self, threshold: int = 3, cooldown_ms: float = 5_000.0) -> None:
         if cooldown_ms <= 0:
             raise ValueError("cooldown_ms must be > 0")

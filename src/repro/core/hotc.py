@@ -158,7 +158,8 @@ class _KeyState:
         #: most held at once since the last control tick.
         self.busy = 0
         self.peak = 0
-        #: Boot circuit breaker (created on first use).
+        #: Boot circuit breaker, built on the key's first boot failure;
+        #: until then the key boots as under a closed breaker.
         self.breaker: Optional[CircuitBreaker] = None
         #: Cached jitter-free cold-boot prediction (repurpose pricing).
         self.cold_estimate: Optional[float] = None
@@ -270,13 +271,16 @@ class HotC(RuntimeProvider):
                 container.leased = True
                 return container, False
 
-            breaker = self._breaker_for(key)
-            if not breaker.allow(self.sim.now):
+            # A key whose record a control-plane crash dropped while the
+            # caller waited boots under a fresh record that is not kept.
+            record = self._keys.get(key) or _KeyState(config)
+            breaker = record.breaker
+            if breaker is not None and not breaker.allow(self.sim.now):
                 self.engine.stats.breaker_fastfails += 1
                 raise RuntimeUnavailableError(
                     f"circuit breaker open for runtime key {key}"
                 )
-            container = yield from self._boot_with_retry(key, config, breaker)
+            container = yield from self._boot_with_retry(key, config, record)
             self.pool.register(container, key, now=self.sim.now, available=False)
             container.leased = True
             return container, True
@@ -514,24 +518,6 @@ class HotC(RuntimeProvider):
         return donor.language == target.language
 
     # -- failure-hardened boot path --------------------------------------------
-    def _breaker_for(self, key: RuntimeKey) -> CircuitBreaker:
-        """The key's circuit breaker (created on first use).
-
-        A key with no record (the control plane crashed while the
-        caller was waiting) gets a fresh breaker that is not kept.
-        """
-        state = self._keys.get(key)
-        breaker = state.breaker if state is not None else None
-        if breaker is None:
-            breaker = CircuitBreaker(
-                threshold=self.config.breaker_threshold,
-                cooldown_ms=BREAKER_COOLDOWN_MS,
-            )
-            breaker.on_transition = self._breaker_transition_hook(key)
-            if state is not None:
-                state.breaker = breaker
-        return breaker
-
     def _breaker_transition_hook(self, key: RuntimeKey):
         """Per-key callback recording breaker state changes."""
 
@@ -548,8 +534,23 @@ class HotC(RuntimeProvider):
 
         return hook
 
-    def _boot_failed(self, breaker: CircuitBreaker) -> None:
-        """Feed one retryable boot failure to the key's breaker."""
+    def _boot_failed(self, key: RuntimeKey, record: _KeyState) -> None:
+        """Feed one retryable boot failure to the key's breaker, built
+        here on the first one.
+
+        A closed breaker that has seen no failure acts like none at all,
+        so a key that never failed a boot holds no breaker, and with
+        ``breaker_threshold <= 0`` (breakers off) no key does.
+        """
+        if self.config.breaker_threshold <= 0:
+            return
+        breaker = record.breaker
+        if breaker is None:
+            breaker = record.breaker = CircuitBreaker(
+                threshold=self.config.breaker_threshold,
+                cooldown_ms=BREAKER_COOLDOWN_MS,
+            )
+            breaker.on_transition = self._breaker_transition_hook(key)
         if breaker.record_failure(self.sim.now):
             self.engine.stats.breaker_opens += 1
 
@@ -572,9 +573,10 @@ class HotC(RuntimeProvider):
         return delay
 
     def _boot_with_retry(
-        self, key: RuntimeKey, config: ContainerConfig, breaker: CircuitBreaker
+        self, key: RuntimeKey, config: ContainerConfig, record: _KeyState
     ) -> Generator:
-        """Process: boot with bounded retry + backoff under the breaker.
+        """Process: boot with bounded retry + backoff under the breaker
+        of ``record``.
 
         Retries only same-host-retryable failures; host outages
         propagate immediately so the cluster scheduler can fail over.
@@ -584,14 +586,18 @@ class HotC(RuntimeProvider):
             try:
                 container = yield from self._boot_once(key, config)
             except _RETRYABLE:
-                self._boot_failed(breaker)
+                self._boot_failed(key, record)
                 attempt += 1
-                if attempt > BOOT_RETRIES or not breaker.allow(self.sim.now):
+                breaker = record.breaker
+                if attempt > BOOT_RETRIES or (
+                    breaker is not None and not breaker.allow(self.sim.now)
+                ):
                     raise
                 self.engine.stats.boot_retries += 1
                 yield self._backoff_ms(attempt)
             else:
-                breaker.record_success()
+                if record.breaker is not None:
+                    record.breaker.record_success()
                 return container
 
     def _boot_once(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
@@ -1169,12 +1175,12 @@ class HotC(RuntimeProvider):
             # Degraded mode: a host already under memory pressure must
             # not spend capacity growing the pool it is trying to shrink.
             return
-        breaker = self._breaker_for(key)
-        if breaker.is_open(self.sim.now):
+        record = self._keys[key]
+        if record.breaker is not None and record.breaker.is_open(self.sim.now):
             # Boots of this type keep failing: prewarming would only
             # burn capacity on doomed boots.
             return
-        config = self._keys[key].config
+        config = record.config
         self._note_pending(key, +1, prewarm=True)
         epoch = self._prewarm_epoch
         obs = self.sim.obs
@@ -1198,7 +1204,7 @@ class HotC(RuntimeProvider):
                 except _RETRYABLE:
                     # Prewarm failures feed the breaker but are not
                     # retried — the next control tick decides again.
-                    self._boot_failed(breaker)
+                    self._boot_failed(key, record)
                     return
                 except Exception:
                     return  # host down mid-prewarm: nothing to pool
@@ -1215,11 +1221,11 @@ class HotC(RuntimeProvider):
             if self._draining or not container.is_reusable:
                 yield from self.cleanup.retire(container)
                 return
+            if record.breaker is not None:
+                record.breaker.record_success()
             if self.pool.contains(container):
                 # A recovery sweep adopted this landing boot already.
-                breaker.record_success()
                 return
             self.pool.register(container, key, now=self.sim.now, available=True)
-            breaker.record_success()
 
         self.sim.process(_boot(), name=f"prewarm:{key}")

@@ -434,10 +434,13 @@ class ContainerRuntimePool:
 
     def _unlink(self, entry: PoolEntry) -> None:
         # Shared tail of remove()/quarantine(): drop the entry from
-        # every index.
+        # every index, and its links to its availability item and list,
+        # which point back at it.  A stale copy of the item left in a
+        # live list keeps its own reference until compaction.
         container = entry.container
         entry.in_pool = False
         entry.stamp += 1
+        entry.avail_item = entry.avail_list = None
         del self._by_container[container.container_id]
         siblings = self._entries[entry.key]
         del siblings[container.container_id]
@@ -502,6 +505,7 @@ class ContainerRuntimePool:
         for entry in self._by_container.values():
             entry.in_pool = False
             entry.stamp += 1
+            entry.avail_item = entry.avail_list = None
         self._entries.clear()
         self._by_container.clear()
         self._counts.clear()

@@ -165,12 +165,14 @@ def _gc_quiet():
     """Tame the cyclic GC for the duration of a trace-scale run.
 
     A million-request arm allocates tens of millions of short-lived
-    objects; at the default thresholds the collector runs hundreds of
-    full (gen-2) passes over an ever-growing heap — measured at ~17 % of
-    the wall clock for the ``day-1m`` gate.  Freezing the post-setup
-    baseline and raising the thresholds keeps collection work bounded to
-    the young, per-request churn.  Purely a wall-clock change: no effect
-    on simulation behaviour or results.
+    objects.  Refcounting frees them all, since the request path leaves
+    no cyclic garbage (DESIGN.md §9), but each allocation still counts
+    towards the next collection, and at the default thresholds every
+    pass walks the live heap for nothing.  Freezing the post-setup
+    baseline and raising the thresholds keeps that work small: on
+    ``day-1m`` (2-vCPU box, Python 3.11) the collector takes ~0.1 % of
+    the wall clock with this setting and ~0.5 % without it.  Purely a
+    wall-clock change: no effect on simulation behaviour or results.
     """
     gc.collect()
     gc.freeze()

@@ -36,7 +36,7 @@ import math
 from collections import deque
 from heapq import heappop, heappush
 from numbers import Real
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Generator, Iterable, Optional
 
 from repro.sim.events import _FREE_MAX, Event, EventQueue, PENDING, ScheduledEvent
 
@@ -247,18 +247,56 @@ class Process(Event):
             ):
                 abandoned.cancel()
             self._waiting_on = None
+        if exc is not None:
+            self._throw(exc)
+            return
         try:
-            if exc is not None:
-                target = self._generator.throw(exc)
-            else:
-                target = self._generator.send(value)
+            target = self._generator.send(value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._done(stop.value, None)
             return
         except BaseException as error:  # noqa: BLE001 - propagate to waiters
-            self.fail(error)
+            self._done(None, error)
             return
         self._wait_on_target(target)
+
+    def _throw(self, exc: BaseException) -> None:
+        # Raise ``exc`` at the yield.  On its way up it collects the
+        # frames it passes, but the event that failed with it may hold it
+        # too: when the generator handles it, its traceback is put back
+        # as it came, so that failure does not point at this process's
+        # frame.  When it propagates, the process fails with it and its
+        # frames stay in the traceback.
+        traceback = exc.__traceback__
+        try:
+            target = self._generator.throw(exc)
+        except StopIteration as stop:
+            exc.__traceback__ = traceback
+            self._done(stop.value, None)
+            return
+        except BaseException as error:  # noqa: BLE001 - propagate to waiters
+            if error is not exc:
+                exc.__traceback__ = traceback
+            self._done(None, error)
+            return
+        exc.__traceback__ = traceback
+        self._wait_on_target(target)
+
+    def _done(self, value: Any, error: Optional[BaseException]) -> None:
+        # Every finish comes here.  The cached bound methods and the
+        # generator (whose frame may hold the process) point back at the
+        # process, and so does the kernel frame that caught ``error``, at
+        # the head of its traceback.  Dropping them first leaves a
+        # finished process in no reference cycle, so refcounting frees
+        # it.  Nothing reads them once ``_fired`` is set.
+        self._generator = self._on_event_cb = self._wake_cb = self._sleep_cb = None
+        if error is None:
+            self.succeed(value)
+            return
+        traceback = error.__traceback__
+        if traceback is not None:
+            error.__traceback__ = traceback.tb_next
+        self.fail(error)
 
     def _wait_on_target(self, target: Any) -> None:
         """Suspend on whatever the generator just yielded.
@@ -320,11 +358,12 @@ class Process(Event):
         elif not isinstance(target, Event):
             if type(target) is bool or not isinstance(target, Real):
                 self._generator.close()
-                self.fail(
+                self._done(
+                    None,
                     TypeError(
                         f"process {self.name!r} yielded {target!r}; processes "
                         "must yield Event instances or a delay in ms"
-                    )
+                    ),
                 )
                 return
             # An int or numpy scalar sleeps as its float; an int past the
@@ -332,7 +371,9 @@ class Process(Event):
             try:
                 delay = float(target)
             except OverflowError as error:
-                self._resume(None, error)
+                # Thrown in without this frame, whose ``self`` is the
+                # process: the error is raised at the yield.
+                self._resume(None, error.with_traceback(None))
                 return
             self._wait_on_target(delay)
             return
@@ -374,10 +415,10 @@ class Process(Event):
             try:
                 target = generator.send(None)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._done(stop.value, None)
                 return
             except BaseException as error:  # noqa: BLE001 - propagate to waiters
-                self.fail(error)
+                self._done(None, error)
                 return
             if type(target) is not float or not (0.0 <= target < _INF):
                 self._wait_on_target(target)
@@ -431,10 +472,10 @@ class Process(Event):
         try:
             target = self._generator.send(value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._done(stop.value, None)
             return
         except BaseException as error:  # noqa: BLE001 - propagate to waiters
-            self.fail(error)
+            self._done(None, error)
             return
         # The Timeout arm of _wait_on_target, inlined: a process that
         # sleeps on timeouts in a loop (the sim gate's microbench) comes
@@ -451,43 +492,52 @@ class Process(Event):
 class AllOf(Event):
     """Fires when all child events have fired; value is the list of values.
 
-    Fails fast with the first child failure.
+    Fails fast with the first child failure.  Once fired it drops its
+    children: an unfired child's callback still points back at it, and
+    the pair would otherwise form a reference cycle.
     """
 
     __slots__ = ("_children", "_remaining")
 
     def __init__(self, events: Iterable[Event]) -> None:
         super().__init__(name="all_of")
-        self._children: List[Event] = list(events)
-        self._remaining = len(self._children)
+        children = self._children = list(events)
+        self._remaining = len(children)
         if self._remaining == 0:
             self.succeed([])
             return
-        for child in self._children:
+        for child in children:
             child.add_callback(self._on_child)
 
     def _on_child(self, child: Event) -> None:
         if self.triggered:
             return
         if not child.ok:
+            self._children = None
             self.fail(child.value)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([c.value for c in self._children])
+            values = [c.value for c in self._children]
+            self._children = None
+            self.succeed(values)
 
 
 class AnyOf(Event):
-    """Fires as soon as any child fires; value is ``(index, value)``."""
+    """Fires as soon as any child fires; value is ``(index, value)``.
 
-    __slots__ = ("_children",)
+    It keeps no link to its children, so the callbacks that unfired
+    children hold on it form no reference cycle.
+    """
+
+    __slots__ = ()
 
     def __init__(self, events: Iterable[Event]) -> None:
         super().__init__(name="any_of")
-        self._children: List[Event] = list(events)
-        if not self._children:
+        children = list(events)
+        if not children:
             raise ValueError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
+        for index, child in enumerate(children):
             child.add_callback(lambda c, i=index: self._on_child(i, c))
 
     def _on_child(self, index: int, child: Event) -> None:

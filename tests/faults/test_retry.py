@@ -198,6 +198,40 @@ class TestBreakerIntegration:
         provider._spawn_prewarm(key)
         assert provider._pending_boots == {}  # refused while open
 
+    def test_breaker_is_built_on_the_first_boot_failure(self, registry, fn_python):
+        platform, injector = make_platform(registry, self._config())
+        platform.deploy(fn_python)
+        provider = platform.provider
+        key = provider.key_of(fn_python.container_config())
+        platform.submit(fn_python.name)
+        platform.run()
+        # A clean cold boot builds no breaker, and a checkpoint copies none.
+        assert provider._keys[key].breaker is None
+        (saved,) = provider.snapshot_state()
+        assert saved.breakers == {}
+        injector.fail_next_boots(1)
+        platform.submit(fn_python.name)
+        platform.submit(fn_python.name)  # the one idle container is busy
+        platform.run()
+        breaker = provider._keys[key].breaker
+        assert breaker is not None and breaker.state == "closed"
+        (saved,) = provider.snapshot_state()
+        assert list(saved.breakers) == [key]
+        assert saved.breakers[key] is not breaker
+        assert platform.traces.failed_count() == 0
+
+    def test_no_breaker_when_breakers_are_off(self, registry, fn_python):
+        config = HotCConfig(control_interval_ms=0, breaker_threshold=0)
+        platform, injector = make_platform(registry, config)
+        platform.deploy(fn_python)
+        injector.fail_next_boots(2)
+        platform.submit(fn_python.name)
+        platform.run()
+        key = platform.provider.key_of(fn_python.container_config())
+        assert platform.engine.stats.boot_failures == 2
+        assert platform.provider._keys[key].breaker is None
+        assert platform.traces.failed_count() == 0
+
 
 class TestShutdownDrain:
     def test_shutdown_mid_burst_retires_everything(self, registry, fn_python):
