@@ -440,3 +440,17 @@ def scenario_metrics() -> dict:
             paths.events.to_jsonl().encode()
         ).hexdigest(),
     }
+
+
+def scenario_leaky_day() -> dict:
+    """``python -m repro scenarios run leaky-day``'s ``report.json``.
+
+    The one pinned run of the container health plane at its default
+    thresholds (``scenario_hotc_paths`` overrides several), next to the
+    same day without the plane.
+    """
+    import json
+
+    from repro.scenarios import bundled_spec, run_scenario
+
+    return json.loads(run_scenario(bundled_spec("leaky-day")).to_json())

@@ -53,6 +53,9 @@ class TestGoldenEventOrder:
     def test_metric_output_matches_golden(self):
         check_golden("metrics", scenarios.scenario_metrics())
 
+    def test_leaky_day_report_matches_golden(self):
+        check_golden("leaky_day", scenarios.scenario_leaky_day())
+
 
 class TestEngineSelfConsistency:
     """Invariants that hold regardless of golden freshness."""
