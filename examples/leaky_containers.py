@@ -12,9 +12,9 @@ behind, half the containers slow down 8 % per reuse), and compares tail
 latency and failures.
 
 The health plane scores each container from exec outcomes, an EWMA
-latency residual against its key's baseline, and its RSS trajectory
-(FRESH -> WARM -> SUSPECT -> QUARANTINED -> RECYCLING); verdicts pull
-the container out of every reuse index and a token-bucket recycle loop
+latency residual against its key's baseline, and its RSS trajectory,
+and marks it on the container as tainted (suspect) or condemned;
+verdicts pull the container out of every reuse index and a token-bucket recycle loop
 destroys it and prewarms a fresh replacement.
 
 Run:  python examples/leaky_containers.py

@@ -7,10 +7,10 @@ The limit only moves on :meth:`tick` (driven from the platform's
 existing control-loop tick), so adjustment is deterministic and
 independent of request interleaving inside an interval:
 
-* congestion observed this interval → ``limit *= decrease`` (cut once
-  per interval, floored at ``min_limit``);
-* otherwise, any success this interval → ``limit += increase`` (capped
-  at ``max_limit``).
+* congestion observed this interval → ``limit *= DECREASE`` (cut once
+  per interval, floored at ``MIN_LIMIT``);
+* otherwise, any success this interval → ``limit += INCREASE`` (capped
+  at ``MAX_LIMIT``).
 
 The limit is a float internally so repeated cuts/raises compose
 smoothly; the *effective* limit used for admission is ``floor(limit)``.
@@ -22,6 +22,18 @@ from dataclasses import dataclass
 
 __all__ = ["AIMDConfig", "AIMDLimiter"]
 
+#: The band every limit stays in.
+MIN_LIMIT = 1.0
+MAX_LIMIT = 1_024.0
+#: Additive raise per congestion-free interval with traffic.
+INCREASE = 1.0
+#: Multiplicative cut factor on congestion (deadline miss / shed burst).
+DECREASE = 0.5
+#: Sheds in one interval at or above this count are a congestion
+#: signal; below it they are absorbed (a lone queue-cap rejection must
+#: not halve the limit).
+SHED_BURST = 4
+
 
 @dataclass(frozen=True)
 class AIMDConfig:
@@ -29,30 +41,10 @@ class AIMDConfig:
 
     #: Starting concurrency limit for a fresh function.
     initial_limit: float = 32.0
-    min_limit: float = 1.0
-    max_limit: float = 1_024.0
-    #: Additive raise per congestion-free interval with traffic.
-    increase: float = 1.0
-    #: Multiplicative cut factor on congestion (deadline miss / shed burst).
-    decrease: float = 0.5
-    #: Sheds in one interval at or above this count are a congestion
-    #: signal; below it they are absorbed (a lone queue-cap rejection
-    #: must not halve the limit).
-    shed_burst: int = 4
 
     def __post_init__(self) -> None:
-        if self.min_limit < 1.0:
-            raise ValueError("min_limit must be >= 1")
-        if self.max_limit < self.min_limit:
-            raise ValueError("max_limit must be >= min_limit")
-        if not self.min_limit <= self.initial_limit <= self.max_limit:
-            raise ValueError("initial_limit must be within [min, max]")
-        if self.increase <= 0:
-            raise ValueError("increase must be > 0")
-        if not 0.0 < self.decrease < 1.0:
-            raise ValueError("decrease must be in (0, 1)")
-        if self.shed_burst < 1:
-            raise ValueError("shed_burst must be >= 1")
+        if not MIN_LIMIT <= self.initial_limit <= MAX_LIMIT:
+            raise ValueError("initial_limit must be in [MIN_LIMIT, MAX_LIMIT]")
 
 
 class AIMDLimiter:
@@ -90,19 +82,19 @@ class AIMDLimiter:
     @property
     def congested(self) -> bool:
         """Whether this interval's feedback signals congestion."""
-        return self.misses > 0 or self.sheds >= self.config.shed_burst
+        return self.misses > 0 or self.sheds >= SHED_BURST
 
     def tick(self) -> float:
         """Apply one interval's feedback; returns the new limit."""
         if self.congested:
-            self.limit = max(
-                self.config.min_limit, self.limit * self.config.decrease
-            )
+            self.limit = max(MIN_LIMIT, self.limit * DECREASE)
         elif self.successes > 0:
-            self.limit = min(
-                self.config.max_limit, self.limit + self.config.increase
-            )
+            self.limit = min(MAX_LIMIT, self.limit + INCREASE)
         self.successes = 0
         self.misses = 0
         self.sheds = 0
         return self.limit
+
+    def restore(self, limit: float) -> None:
+        """Set the limit to a checkpointed value, clamped to the band."""
+        self.limit = min(MAX_LIMIT, max(MIN_LIMIT, float(limit)))

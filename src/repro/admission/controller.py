@@ -16,7 +16,8 @@ gives every function:
   host (:mod:`repro.admission.brownout`), advanced by each host's
   control tick through :meth:`AdmissionController.observe_pressure`;
   while any host is browned out, standard-QoS requests are shed up
-  front so warm containers (and critical traffic) survive the pressure.
+  front so warm containers (and critical traffic) survive the pressure,
+  and HotC provisions ``BROWNOUT_TARGET_FACTOR`` of each forecast.
 
 Everything is plain simulation bookkeeping: grants are scheduled
 through the simulator queue exactly like
@@ -49,6 +50,9 @@ REASON_QUEUE_FULL = "queue_full"
 REASON_BROWNOUT = "brownout"
 REASON_SHUTDOWN = "shutdown"
 
+#: Factor HotC applies to predictor pool targets while browned out.
+BROWNOUT_TARGET_FACTOR = 0.5
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -61,12 +65,8 @@ class AdmissionConfig:
     #: Relative deadline applied when the function spec does not set
     #: one; ``None`` leaves such requests deadline-free.
     default_deadline_ms: Optional[float] = 30_000.0
-    #: Shed standard-QoS requests while any host is browned out.
-    brownout_shed_standard: bool = True
     #: Brownout hysteresis: exit only below ``threshold - margin``.
     brownout_exit_margin: float = 0.05
-    #: Factor applied to predictor pool targets while browned out.
-    brownout_target_factor: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 0:
@@ -75,8 +75,6 @@ class AdmissionConfig:
             raise ValueError("default_deadline_ms must be > 0 (or None)")
         if not 0.0 <= self.brownout_exit_margin < 1.0:
             raise ValueError("brownout_exit_margin must be in [0, 1)")
-        if not 0.0 < self.brownout_target_factor <= 1.0:
-            raise ValueError("brownout_target_factor must be in (0, 1]")
 
 
 @dataclass
@@ -280,11 +278,7 @@ class AdmissionController:
             return self._reject(spec, trace, REASON_SHUTDOWN)
         if now >= trace.deadline:
             return self._deadline_miss(spec, trace)
-        if (
-            self._browned_out
-            and self.config.brownout_shed_standard
-            and spec.qos != "critical"
-        ):
+        if self._browned_out and spec.qos != "critical":
             return self._reject(spec, trace, REASON_BROWNOUT)
         state = self._state_for(spec.name)
         if state.inflight < state.limiter.effective and state.depth == 0:
@@ -410,8 +404,8 @@ class AdmissionController:
     def restore_limits(self, limits: Dict[str, float]) -> None:
         """Re-apply checkpointed AIMD limits after a recovery.
 
-        Each restored limit is clamped to the function's configured
-        ``[min_limit, max_limit]`` band; functions first seen after the
+        Each restored limit is clamped to the AIMD band
+        (:meth:`AIMDLimiter.restore`); functions first seen after the
         checkpoint keep their current limit.  A raised limit may free
         admission slots, so waiters are re-granted.
         """
@@ -419,10 +413,7 @@ class AdmissionController:
             state = self._states.get(name)
             if state is None:
                 continue
-            config = state.limiter.config
-            state.limiter.limit = min(
-                config.max_limit, max(config.min_limit, float(limits[name]))
-            )
+            state.limiter.restore(limits[name])
             self._grant_next(state)
 
     # -- shutdown -----------------------------------------------------------

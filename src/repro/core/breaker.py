@@ -11,7 +11,8 @@ capacity.  The breaker fails such requests fast instead:
   through; success closes the breaker, failure re-opens it (and
   restarts the cooldown).
 
-``threshold <= 0`` disables the breaker entirely (always allows).
+HotC builds one per key, and only when its breakers are on
+(``HotCConfig.breaker_threshold > 0``), so ``threshold`` must be >= 1.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class CircuitBreaker:
                  "_consecutive_failures", "_opened_at", "_probing")
 
     def __init__(self, threshold: int = 3, cooldown_ms: float = 5_000.0) -> None:
+        if threshold < 1:
+            raise ValueError("threshold must be >= 1")
         if cooldown_ms <= 0:
             raise ValueError("cooldown_ms must be > 0")
         self.threshold = int(threshold)
@@ -61,7 +64,7 @@ class CircuitBreaker:
         Used by the prewarm path, which must not consume the half-open
         probe slot that a real request could use.
         """
-        if self.threshold <= 0 or self.state == CLOSED:
+        if self.state == CLOSED:
             return False
         if self.state == OPEN and now - self._opened_at >= self.cooldown_ms:
             return False  # would transition to half-open
@@ -73,8 +76,6 @@ class CircuitBreaker:
         Transitions open → half-open once the cooldown has elapsed and
         claims the single half-open probe slot for the caller.
         """
-        if self.threshold <= 0:
-            return True
         if self.state == OPEN:
             if now - self._opened_at < self.cooldown_ms:
                 return False
@@ -97,8 +98,6 @@ class CircuitBreaker:
     def record_failure(self, now: float) -> bool:
         """A boot failed; returns ``True`` if this transition *opened*
         the breaker (callers use it to count ``breaker_opens``)."""
-        if self.threshold <= 0:
-            return False
         if self.state == HALF_OPEN:
             # The probe failed: straight back to open, fresh cooldown.
             self._set_state(OPEN)

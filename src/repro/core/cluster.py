@@ -456,6 +456,31 @@ class ClusterHotC(RuntimeProvider):
             yield from host.shutdown()
 
 
+def _make_hosts(
+    sim, registry, seed: int, indices, profile, jitter_sigma: float
+) -> List[ContainerEngine]:
+    """Engines ``host-{i}`` for each ``i`` in ``indices``.
+
+    Each draws jitter from its own ``engine-jitter-{i}`` stream of the
+    seed's ``cluster-hosts`` fork, so adding hosts never perturbs
+    existing ones.
+    """
+    from repro.sim.rng import RngRegistry
+
+    rngs = RngRegistry(seed).fork("cluster-hosts")
+    return [
+        ContainerEngine(
+            sim,
+            registry,
+            profile=profile,
+            rng=rngs.stream(f"engine-jitter-{index}"),
+            jitter_sigma=jitter_sigma,
+            name=f"host-{index}",
+        )
+        for index in indices
+    ]
+
+
 def make_cluster_engines(
     sim,
     registry,
@@ -470,27 +495,15 @@ def make_cluster_engines(
     :func:`make_cluster_platform`, for callers that drive a
     :class:`ClusterHotC` directly without the FaaS gateway stack (the
     scenario runner's trace mode).  Hosts are named ``host-0`` …
-    ``host-{n-1}`` and each draws jitter from its own named RNG stream,
-    so adding hosts never perturbs existing ones.
+    ``host-{n-1}``.
     """
     from repro.hardware.profiles import T430_SERVER
-    from repro.sim.rng import RngRegistry
 
     if n_hosts < 1:
         raise ValueError("n_hosts must be >= 1")
-    profile = profile or T430_SERVER
-    rngs = RngRegistry(seed).fork("cluster-hosts")
-    return [
-        ContainerEngine(
-            sim,
-            registry,
-            profile=profile,
-            rng=rngs.stream(f"engine-jitter-{index}"),
-            jitter_sigma=jitter_sigma,
-            name=f"host-{index}",
-        )
-        for index in range(n_hosts)
-    ]
+    return _make_hosts(
+        sim, registry, seed, range(n_hosts), profile or T430_SERVER, jitter_sigma
+    )
 
 
 def make_cluster_platform(
@@ -506,32 +519,22 @@ def make_cluster_platform(
     """Build a :class:`~repro.faas.FaasPlatform` backed by ``n_hosts``.
 
     The first host is the platform's default engine (gateway-side
-    latencies come from it); the remaining hosts are created on the same
-    simulator with independent jitter streams.  Returns the platform;
+    latencies come from it); hosts 1..n-1 are created on the same
+    simulator as in :func:`make_cluster_engines`.  Returns the platform;
     its ``provider`` is the :class:`ClusterHotC`.
     """
     from repro.faas.platform import FaasPlatform
     from repro.hardware.profiles import T430_SERVER
-    from repro.sim.rng import RngRegistry
 
     if n_hosts < 1:
         raise ValueError("n_hosts must be >= 1")
     profile = profile or T430_SERVER
-    extra_rngs = RngRegistry(seed).fork("cluster-hosts")
 
     def factory(first_engine: ContainerEngine) -> ClusterHotC:
-        engines = [first_engine]
-        for index in range(1, n_hosts):
-            engines.append(
-                ContainerEngine(
-                    first_engine.sim,
-                    registry,
-                    profile=profile,
-                    rng=extra_rngs.stream(f"engine-jitter-{index}"),
-                    jitter_sigma=jitter_sigma,
-                    name=f"host-{index}",
-                )
-            )
+        engines = [first_engine] + _make_hosts(
+            first_engine.sim, registry, seed, range(1, n_hosts), profile,
+            jitter_sigma,
+        )
         return ClusterHotC(engines, config=hotc_config, placement=placement)
 
     return FaasPlatform(

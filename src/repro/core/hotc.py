@@ -21,6 +21,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional
 
+from repro.admission.controller import BROWNOUT_TARGET_FACTOR
 from repro.containers.container import Container, ContainerConfig
 from repro.containers.engine import ContainerEngine
 from repro.core.breaker import CircuitBreaker
@@ -443,7 +444,7 @@ class HotC(RuntimeProvider):
                 if self.container_health is not None:
                     # Post-repurpose hygiene: the new key starts a fresh
                     # health record, and a poisoned donor is scrubbed
-                    # for ``sanitize_ms`` instead of carrying the
+                    # for ``SANITIZE_MS`` instead of carrying the
                     # contamination.
                     sanitize_ms = self.container_health.note_respec(
                         container, key, self.sim.now
@@ -660,10 +661,10 @@ class HotC(RuntimeProvider):
         container.leased = False
         self._bump_busy(key, -1)
         if self.container_health is not None:
-            # An exec failure is hard contamination evidence: it feeds
-            # the per-container crash-loop breaker (threshold 1 by
-            # default — the watchdog discards after one failure, so a
-            # second chance would serve a request on known-bad state).
+            # An exec failure is hard contamination evidence: it
+            # condemns the container (the watchdog discards after one
+            # failure, so a second chance would serve a request on
+            # known-bad state).
             self.container_health.observe_failure(container, key, self.sim.now)
             if self.pool.contains(container) and container.is_live:
                 self._quarantine_for_recycle(container, key, "breaker")
@@ -1078,9 +1079,7 @@ class HotC(RuntimeProvider):
                     # Degraded mode: provision for a fraction of the
                     # forecast so the pool sheds weight before the
                     # pressure path has to evict warm containers.
-                    target = int(
-                        target * admission.config.brownout_target_factor
-                    )
+                    target = int(target * BROWNOUT_TARGET_FACTOR)
                 self._resize_key(key, target)
             if obs is not None:
                 host = self.engine.name

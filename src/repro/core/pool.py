@@ -209,7 +209,9 @@ class ContainerRuntimePool:
         #: Pool-wide eviction heap of the active strategy's sort tuples.
         self._evict_heap: List[Tuple] = []
         #: Entries not yet pushed to the eviction heap (deduplicated via
-        #: ``PoolEntry.evict_pending``, so it is bounded by pool size).
+        #: ``PoolEntry.evict_pending``; :meth:`_unlink` drops the entries
+        #: that left the pool once there are too many, so a run that
+        #: never evicts does not keep its retired entries alive).
         #: release/register only set a flag and append (O(1)); the heap
         #: tuples — strategy sort key, container-id tie-breaker — are
         #: built and pushed lazily by :meth:`eviction_candidate`, keeping
@@ -456,6 +458,14 @@ class ContainerRuntimePool:
             del self._counts[entry.key]
             self._avail_lists.pop(entry.key, None)
         self._maybe_compact_evictions()
+        pending = self._evict_pending
+        if len(pending) > 2 * len(self._by_container) + _COMPACT_MIN:
+            # The flush skips entries that left the pool, so dropping
+            # them here cannot change what it pushes.
+            for stale in pending:
+                if not stale.in_pool:
+                    stale.evict_pending = False
+            pending[:] = [item for item in pending if item.in_pool]
 
     def discard_dead(
         self, container: Container, reuse: str = "hit"
@@ -661,6 +671,14 @@ class ContainerRuntimePool:
                     f"quarantined container {entry.container.container_id} "
                     "still live on the eviction heap"
                 )
+        # Entries that left the pool stay on the deferred-eviction list
+        # only until it passes 2 x pooled + _COMPACT_MIN; the pool only
+        # grows between unlinks, so the bound holds at every point.
+        stale = sum(1 for entry in self._evict_pending if not entry.in_pool)
+        assert stale <= 2 * len(self._by_container) + _COMPACT_MIN, (
+            f"{stale} removed entries on the deferred-eviction list "
+            f"for {len(self._by_container)} pooled"
+        )
 
     # -- heap maintenance ---------------------------------------------------
     def _make_available(self, entry: PoolEntry) -> None:

@@ -23,7 +23,6 @@ behaves bit-identically to one built before this package existed.
 """
 
 from repro.health.container import (
-    ContainerCondition,
     ContainerHealth,
     ContainerHealthConfig,
     ContainerHealthPlane,
@@ -33,7 +32,6 @@ from repro.health.lifecycle import HealthConfig, HostHealth, HostState
 from repro.health.monitor import HealthMonitor
 
 __all__ = [
-    "ContainerCondition",
     "ContainerHealth",
     "ContainerHealthConfig",
     "ContainerHealthPlane",

@@ -5,27 +5,20 @@ The host health plane (``repro.health.lifecycle``) decides whether a
 level down, for each pooled container runtime.  Long-lived reuse — the
 paper's whole mechanism — is exactly where containers rot: leaked RSS
 per reuse, dirty interpreter state after an exec, compounding slowdown,
-crash loops.  Each container therefore carries a lifecycle FSM::
+crash loops.  A container's condition is two flags on the container
+itself, so it survives a control-plane crash that wipes the plane's
+records:
 
-    FRESH -> WARM -> SUSPECT -> QUARANTINED -> RECYCLING
-
-* **FRESH** — just booted, not yet proven (first execs).
-* **WARM** — serving normally; the steady state.
-* **SUSPECT** — the EWMA latency residual against the key's baseline
-  drifted past the threshold: the container stops serving and stops
-  donating (``Container.tainted``) but stays pooled until the recycle
-  loop drains it.
-* **QUARANTINED** — hard evidence (exec failure tripping the
-  per-container breaker, or leaked RSS past the hard limit): the
-  container is pulled from every availability index
-  (``ContainerRuntimePool.quarantine``) and never serves again
-  (``Container.condemned``).
-* **RECYCLING** — being destroyed; a paired prewarm replaces it.
-
-The per-container crash-loop breaker is a
-:class:`~repro.core.breaker.CircuitBreaker` *distinct from* HotC's
-per-key breakers: the per-key breaker protects the boot path of a
-runtime type, this one condemns an individual contaminated container.
+* serving — neither flag set.
+* ``tainted`` (SUSPECT) — the EWMA latency residual against the key's
+  baseline drifted past ``RESIDUAL_THRESHOLD``: the container stops
+  serving and stops donating but stays pooled until the recycle loop
+  drains it.
+* ``condemned`` (QUARANTINED, implies ``tainted``) — hard evidence (an
+  exec failure, leaked RSS past ``RSS_LIMIT_MB``, or a recycle verdict):
+  the container is pulled from every availability index
+  (``ContainerRuntimePool.quarantine``) and never serves again; its
+  recycle destroys it and a paired prewarm replaces it.
 
 Everything here is pure bookkeeping — no RNG, no simulator events (the
 plane reads the simulator only for its clock and observatory) — so an
@@ -37,57 +30,36 @@ constructed when ``HotCConfig.container_health`` is set.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 from repro.containers.container import Container
-from repro.core.breaker import CircuitBreaker
 from repro.obs.events import EventKind
 
 __all__ = [
-    "ContainerCondition",
     "ContainerHealth",
     "ContainerHealthConfig",
     "ContainerHealthPlane",
 ]
 
 
-#: Cooldown of the per-container crash-loop breaker (quarantine is
-#: terminal, so this only shapes the breaker's internal bookkeeping).
-CONTAINER_BREAKER_COOLDOWN_MS = 60_000.0
+#: EWMA weight of the newest latency residual sample.
+EWMA_ALPHA = 0.3
+#: EWMA residual (observed / key baseline) above which a container is
+#: tainted.
+RESIDUAL_THRESHOLD = 2.0
+#: Execs a container must have served before residual verdicts engage
+#: (lets the key baseline stabilise).
+SUSPECT_AFTER = 3
+#: Absolute leaked RSS (MB) that condemns immediately.
+RSS_LIMIT_MB = 256.0
+#: Cost (ms) of sanitizing a poisoned donor during a repurpose re-spec
+#: (paid instead of carrying the poison to the new key).
+SANITIZE_MS = 25.0
 
 #: The counter every container lifecycle transition bumps.
 _TRANSITIONS_TOTAL = "container_lifecycle_transitions_total"
 _TRANSITIONS_HELP = "Container health-plane lifecycle transitions"
-
-_CONDITION_CODES = {
-    "FRESH": 0,
-    "WARM": 1,
-    "SUSPECT": 2,
-    "QUARANTINED": 3,
-    "RECYCLING": 4,
-}
-
-
-class ContainerCondition(enum.Enum):
-    """Lifecycle states of one pooled container runtime."""
-
-    FRESH = "fresh"
-    WARM = "warm"
-    SUSPECT = "suspect"
-    QUARANTINED = "quarantined"
-    RECYCLING = "recycling"
-
-    @property
-    def code(self) -> int:
-        """Stable numeric code (gauge value; FSM order)."""
-        return _CONDITION_CODES[self.name]
-
-    @property
-    def serving(self) -> bool:
-        """Whether the container may serve requests in this state."""
-        return self in (ContainerCondition.FRESH, ContainerCondition.WARM)
 
 
 @dataclass(frozen=True)
@@ -95,99 +67,47 @@ class ContainerHealthConfig:
     """Tunables of the container health plane (HotC opt-in).
 
     The defaults are deliberately conservative: bounded-reuse caps that
-    a day-scale run rarely hits, a residual threshold well above normal
-    jitter, and a single exec failure condemning a container (after a
-    failure the watchdog has already discarded it, so a second chance
-    would mean serving another request on known-bad state).
+    a day-scale run rarely hits and a leak slope well above a healthy
+    container's RSS drift.  A single exec failure always condemns a
+    container: the watchdog has already discarded it, so a second
+    chance would mean serving another request on known-bad state.
     """
 
     #: Recycle a container after this many execs (``None`` disables).
     max_reuses: Optional[int] = 200
     #: Recycle a container older than this (``None`` disables).
     max_age_ms: Optional[float] = 3_600_000.0
-    #: Successful execs before FRESH graduates to WARM.
-    warm_after: int = 1
-    #: EWMA weight of the newest latency residual sample.
-    ewma_alpha: float = 0.3
-    #: EWMA residual (observed / key baseline) above which a container
-    #: turns SUSPECT.
-    residual_threshold: float = 2.0
-    #: Execs a container must have served before residual verdicts
-    #: engage (lets the key baseline stabilise).
-    suspect_after: int = 3
     #: Detected per-reuse RSS growth (MB/exec) that marks a leak.
     leak_slope_mb: float = 4.0
-    #: Absolute leaked RSS (MB) that quarantines immediately.
-    rss_limit_mb: float = 256.0
-    #: Exec failures before the per-container crash-loop breaker opens
-    #: and the container is quarantined.
-    breaker_threshold: int = 1
     #: Token-bucket recycle rate limit: sustained recycles per second...
     recycle_rate_per_s: float = 2.0
     #: ...and the burst the bucket can accumulate.
     recycle_burst: int = 4
-    #: Cost (ms) of sanitizing a poisoned donor during a repurpose
-    #: re-spec (paid instead of carrying the poison to the new key).
-    sanitize_ms: float = 25.0
 
     def __post_init__(self) -> None:
         if self.max_reuses is not None and self.max_reuses < 1:
             raise ValueError("max_reuses must be >= 1 (or None)")
         if self.max_age_ms is not None and self.max_age_ms <= 0:
             raise ValueError("max_age_ms must be > 0 (or None)")
-        if self.warm_after < 1:
-            raise ValueError("warm_after must be >= 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.residual_threshold <= 1.0:
-            raise ValueError("residual_threshold must be > 1")
-        if self.suspect_after < 1:
-            raise ValueError("suspect_after must be >= 1")
         if self.leak_slope_mb <= 0:
             raise ValueError("leak_slope_mb must be > 0")
-        if self.rss_limit_mb <= 0:
-            raise ValueError("rss_limit_mb must be > 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
         if self.recycle_rate_per_s <= 0:
             raise ValueError("recycle_rate_per_s must be > 0")
         if self.recycle_burst < 1:
             raise ValueError("recycle_burst must be >= 1")
-        if self.sanitize_ms < 0:
-            raise ValueError("sanitize_ms must be >= 0")
 
 
 class ContainerHealth:
-    """Health record of one container: FSM state plus evidence."""
+    """Evidence about one container under one key; the verdicts live on
+    the container's flags."""
 
-    def __init__(
-        self, container: Container, key, config: ContainerHealthConfig
-    ) -> None:
-        self.container = container
+    __slots__ = ("key", "residual_ewma")
+
+    def __init__(self, key) -> None:
         self.key = key
-        self.state = ContainerCondition.FRESH
         #: EWMA of (observed exec latency / key baseline); 1.0 = on
         #: baseline.
         self.residual_ewma = 1.0
-        #: Per-container crash-loop breaker (distinct from the per-key
-        #: boot breakers).
-        self.breaker = CircuitBreaker(
-            threshold=config.breaker_threshold,
-            cooldown_ms=CONTAINER_BREAKER_COOLDOWN_MS,
-        )
-        #: ``(now, old, new)`` transition log.
-        self.transitions: List[Tuple[float, ContainerCondition, ContainerCondition]] = []
-
-    def transition_to(
-        self, state: ContainerCondition, now: float
-    ) -> ContainerCondition:
-        """Move to ``state``; returns the state left."""
-        old = self.state
-        if state is old:
-            return old
-        self.state = state
-        self.transitions.append((now, old, state))
-        return old
 
 
 class ContainerHealthPlane:
@@ -233,7 +153,7 @@ class ContainerHealthPlane:
         """The container's record, created lazily on first evidence."""
         record = self._records.get(container.container_id)
         if record is None or record.key != key:
-            record = ContainerHealth(container, key, self.config)
+            record = ContainerHealth(key)
             self._records[container.container_id] = record
         return record
 
@@ -256,12 +176,10 @@ class ContainerHealthPlane:
         """Fold a successful exec into the container's score.
 
         Reads ``container.last_exec_ms`` (stamped by the engine) and
-        ``container.rss_mb``; updates the key baseline, the residual
-        EWMA, and the FSM.
+        ``container.rss_mb``; updates the key baseline and the residual
+        EWMA, and may taint or condemn the container.
         """
-        config = self.config
         record = self.track(container, key)
-        record.breaker.record_success()
         observed = container.last_exec_ms
         baseline = self._baselines.get(key)
         if baseline is None:
@@ -272,24 +190,18 @@ class ContainerHealthPlane:
                 # the new sample into the baseline.
                 residual = observed / baseline
                 record.residual_ewma = (
-                    config.ewma_alpha * residual
-                    + (1.0 - config.ewma_alpha) * record.residual_ewma
+                    EWMA_ALPHA * residual
+                    + (1.0 - EWMA_ALPHA) * record.residual_ewma
                 )
             self._baselines[key] = (
-                config.ewma_alpha * observed
-                + (1.0 - config.ewma_alpha) * baseline
+                EWMA_ALPHA * observed + (1.0 - EWMA_ALPHA) * baseline
             )
-        if (
-            record.state is ContainerCondition.FRESH
-            and container.exec_count >= config.warm_after
-        ):
-            record.transition_to(ContainerCondition.WARM, now)
-        if container.rss_mb >= config.rss_limit_mb:
+        if container.rss_mb >= RSS_LIMIT_MB:
             self.condemn(container, record, now, reason="rss_limit")
         elif (
-            record.state.serving
-            and container.exec_count >= config.suspect_after
-            and record.residual_ewma > config.residual_threshold
+            not container.tainted
+            and container.exec_count >= SUSPECT_AFTER
+            and record.residual_ewma > RESIDUAL_THRESHOLD
         ):
             self._demote(container, record, now, reason="residual")
         return record
@@ -297,11 +209,9 @@ class ContainerHealthPlane:
     def observe_failure(
         self, container: Container, key, now: float
     ) -> ContainerHealth:
-        """Fold an exec failure in; opens the per-container breaker."""
+        """Fold an exec failure in: one failure condemns."""
         record = self.track(container, key)
-        record.breaker.record_failure(now)
-        if record.breaker.is_open(now) or not record.state.serving:
-            self.condemn(container, record, now, reason="breaker")
+        self.condemn(container, record, now, reason="breaker")
         return record
 
     # -- verdicts ------------------------------------------------------------
@@ -315,17 +225,11 @@ class ContainerHealthPlane:
         bounded-reuse caps and the leak-slope detector.
         """
         config = self.config
-        record = self._records.get(container.container_id)
-        if container.condemned or (
-            record is not None
-            and record.state is ContainerCondition.QUARANTINED
-        ):
-            # ``condemned`` is carried on the container itself, so the
-            # verdict survives a control-plane crash that wiped records.
+        # The flags are carried on the container itself, so the verdict
+        # survives a control-plane crash that wiped the records.
+        if container.condemned:
             return "quarantined"
-        if container.tainted or (
-            record is not None and record.state is ContainerCondition.SUSPECT
-        ):
+        if container.tainted:
             return "suspect"
         if (
             config.max_reuses is not None
@@ -349,14 +253,14 @@ class ContainerHealthPlane:
 
         A re-specialised donor starts a fresh record under its new key;
         a poisoned donor has its dirty state scrubbed for
-        ``sanitize_ms`` instead of carrying the contamination to the
+        ``SANITIZE_MS`` instead of carrying the contamination to the
         new key.
         """
         self._records.pop(container.container_id, None)
         self.track(container, key)
         if container.poisoned:
             container.poisoned = False
-            return self.config.sanitize_ms
+            return SANITIZE_MS
         return 0.0
 
     # -- recycle pacing ------------------------------------------------------
@@ -390,7 +294,7 @@ class ContainerHealthPlane:
                 self.tokens -= 1.0
             yield self.queue.pop(0)
 
-    # -- transitions ---------------------------------------------------------
+    # -- flag setters --------------------------------------------------------
     def _demote(
         self,
         container: Container,
@@ -398,14 +302,12 @@ class ContainerHealthPlane:
         now: float,
         reason: str,
     ) -> None:
-        if record.state is ContainerCondition.SUSPECT:
-            return
-        record.transition_to(ContainerCondition.SUSPECT, now)
+        """Taint the container: it stops serving until recycled."""
         container.tainted = True
         self.suspects += 1
         obs = self.sim.obs
         if obs is not None:
-            to = record.state.value
+            to = "suspect"
             obs.record(
                 EventKind.CONTAINER_SUSPECT, now, _TRANSITIONS_TOTAL, _TRANSITIONS_HELP,
                 {"host": self.host, "to": to}, host=self.host,
@@ -420,18 +322,18 @@ class ContainerHealthPlane:
         now: float,
         reason: str,
     ) -> None:
-        """Mark the container QUARANTINED: it never serves again."""
+        """Condemn the container: it never serves again.  A container
+        with no evidence yet gets a record under its image."""
         if record is None:
             record = self.track(container, container.config.image)
-        if record.state is ContainerCondition.QUARANTINED:
+        if container.condemned:
             return
-        record.transition_to(ContainerCondition.QUARANTINED, now)
         container.tainted = True
         container.condemned = True
         self.quarantines += 1
         obs = self.sim.obs
         if obs is not None:
-            to = record.state.value
+            to = "quarantined"
             obs.record(
                 EventKind.CONTAINER_QUARANTINED, now, _TRANSITIONS_TOTAL, _TRANSITIONS_HELP,
                 {"host": self.host, "to": to}, host=self.host,
@@ -443,13 +345,11 @@ class ContainerHealthPlane:
         self, container: Container, now: float, reason: str
     ) -> None:
         """Record the start of the container's recycle (terminal)."""
-        record = self._records.get(container.container_id)
-        if record is not None:
-            record.transition_to(ContainerCondition.RECYCLING, now)
         self.recycles += 1
         obs = self.sim.obs
         if obs is not None:
-            to = ContainerCondition.RECYCLING.value
+            record = self._records.get(container.container_id)
+            to = "recycling"
             obs.record(
                 EventKind.CONTAINER_RECYCLED, now, _TRANSITIONS_TOTAL,
                 _TRANSITIONS_HELP, {"host": self.host, "to": to},

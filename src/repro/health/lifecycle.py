@@ -19,7 +19,7 @@ The state machine (DESIGN.md §12)::
 * **DRAINING** additionally drops the host's pool metadata and absorbs
   its in-flight prewarm boots — the host is being treated as lost.
 * **PROBATION** reintroduces a recovered host gradually: its routing
-  weight ramps from near zero to 1.0 over ``probation_heartbeats``
+  weight ramps from near zero to 1.0 over ``PROBATION_HEARTBEATS``
   on-time heartbeats instead of rejoining abruptly at full weight.
 """
 
@@ -46,6 +46,14 @@ DRAIN_PHI = 12.0
 #: directly (it never stopped heartbeating hard enough to be
 #: quarantined, so no probation ramp is needed).
 RECOVER_EVALS = 3
+#: Deviation floor (ms) of each host's detector (see PhiAccrualDetector).
+MIN_STD_MS = 200.0
+#: A host whose learned mean heartbeat interval exceeds
+#: ``SLOW_FACTOR * HEARTBEAT_INTERVAL_MS`` is treated as gray-slow
+#: (suspect) even when individual heartbeats keep arriving.
+SLOW_FACTOR = 2.0
+#: On-time heartbeats a PROBATION host needs before full weight.
+PROBATION_HEARTBEATS = 8
 
 
 class HostState(enum.Enum):
@@ -81,21 +89,8 @@ _STATE_CODES = {
 class HealthConfig:
     """Tunables of the monitor and its per-host detectors."""
 
-    #: Detector window and deviation floor (see PhiAccrualDetector).
+    #: Detector window (see PhiAccrualDetector).
     window: int = 64
-    min_std_ms: float = 200.0
-    #: A host whose learned mean heartbeat interval exceeds
-    #: ``slow_factor * HEARTBEAT_INTERVAL_MS`` is treated as gray-slow
-    #: (suspect) even when individual heartbeats keep arriving.
-    slow_factor: float = 2.0
-    #: On-time heartbeats a PROBATION host needs before full weight.
-    probation_heartbeats: int = 8
-
-    def __post_init__(self) -> None:
-        if self.slow_factor <= 1.0:
-            raise ValueError("slow_factor must be > 1")
-        if self.probation_heartbeats < 1:
-            raise ValueError("probation_heartbeats must be >= 1")
 
 
 class HostHealth:
@@ -108,7 +103,7 @@ class HostHealth:
         self.state = HostState.HEALTHY
         self.detector = PhiAccrualDetector(
             window=config.window,
-            min_std_ms=config.min_std_ms,
+            min_std_ms=MIN_STD_MS,
             bootstrap_interval_ms=HEARTBEAT_INTERVAL_MS,
         )
         #: Consecutive clean evaluations while SUSPECT.
@@ -121,11 +116,10 @@ class HostHealth:
     @property
     def is_slow(self) -> bool:
         """Gray-slowdown signal: heartbeats arrive but far too slowly."""
-        config = self.config
         return (
             self.detector.n_intervals >= 2
             and self.detector.mean_interval_ms
-            > config.slow_factor * HEARTBEAT_INTERVAL_MS
+            > SLOW_FACTOR * HEARTBEAT_INTERVAL_MS
         )
 
     def routing_weight(self) -> float:
@@ -138,10 +132,13 @@ class HostHealth:
         if self.state is HostState.HEALTHY:
             return 1.0
         if self.state is HostState.PROBATION:
-            return (self.probation_progress + 1) / (
-                self.config.probation_heartbeats + 1
-            )
+            return (self.probation_progress + 1) / (PROBATION_HEARTBEATS + 1)
         return 0.0
+
+    @property
+    def probation_done(self) -> bool:
+        """Whether enough on-time heartbeats ended the probation ramp."""
+        return self.probation_progress >= PROBATION_HEARTBEATS
 
     def transition_to(self, state: HostState, now: float) -> HostState:
         """Move to ``state``, logging the edge; returns the old state."""

@@ -8,7 +8,7 @@ partition) or its injector says heartbeats are lost, in which case the
 detector sees silence and phi accrues.  A gray-slowed host delivers
 heartbeats late (scaled by the injector's latency multiplier), which
 the detector learns as a grown mean interval and the lifecycle flags
-via ``slow_factor``.
+via ``SLOW_FACTOR``.
 
 After every delivery (or missed delivery) the monitor evaluates the
 host's lifecycle state machine (see :mod:`repro.health.lifecycle`) and
@@ -170,7 +170,7 @@ class HealthMonitor:
         """A heartbeat arrived; advance a probation ramp if one is on."""
         if health.state is HostState.PROBATION:
             health.probation_progress += 1
-            if health.probation_progress >= self.config.probation_heartbeats:
+            if health.probation_done:
                 self._transition(health, HostState.HEALTHY)
 
     def evaluate(self, health: HostHealth, now: float) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.admission import AIMDConfig, AIMDLimiter
+from repro.admission import aimd
 
 
 class TestConfigValidation:
@@ -12,14 +13,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"min_limit": 0.5},
-            {"max_limit": 0.5},
             {"initial_limit": 2_048.0},
             {"initial_limit": 0.5},
-            {"increase": 0.0},
-            {"decrease": 1.0},
-            {"decrease": 0.0},
-            {"shed_burst": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -33,27 +28,28 @@ class TestLimiter:
         assert limiter.tick() == 8.0
         assert limiter.effective == 8
 
-    def test_success_raises_additively(self):
-        limiter = AIMDLimiter(AIMDConfig(initial_limit=8.0, increase=2.0))
+    def test_success_raises_additively(self, monkeypatch):
+        monkeypatch.setattr(aimd, "INCREASE", 2.0)
+        limiter = AIMDLimiter(AIMDConfig(initial_limit=8.0))
         limiter.record_success()
         assert limiter.tick() == 10.0
         # Accumulators reset: the next idle tick holds.
         assert limiter.tick() == 10.0
 
-    def test_raise_caps_at_max(self):
-        limiter = AIMDLimiter(AIMDConfig(initial_limit=9.5, max_limit=10.0))
+    def test_raise_caps_at_max(self, monkeypatch):
+        monkeypatch.setattr(aimd, "MAX_LIMIT", 10.0)
+        limiter = AIMDLimiter(AIMDConfig(initial_limit=9.5))
         limiter.record_success()
         assert limiter.tick() == 10.0
 
     def test_miss_cuts_multiplicatively(self):
-        limiter = AIMDLimiter(AIMDConfig(initial_limit=8.0, decrease=0.5))
+        limiter = AIMDLimiter(AIMDConfig(initial_limit=8.0))
         limiter.record_miss()
         assert limiter.tick() == 4.0
 
-    def test_cut_floors_at_min(self):
-        limiter = AIMDLimiter(
-            AIMDConfig(initial_limit=2.0, min_limit=2.0, decrease=0.5)
-        )
+    def test_cut_floors_at_min(self, monkeypatch):
+        monkeypatch.setattr(aimd, "MIN_LIMIT", 2.0)
+        limiter = AIMDLimiter(AIMDConfig(initial_limit=2.0))
         limiter.record_miss()
         assert limiter.tick() == 2.0
 
@@ -65,7 +61,8 @@ class TestLimiter:
         assert limiter.tick() == 4.0
 
     def test_shed_burst_threshold(self):
-        config = AIMDConfig(initial_limit=8.0, shed_burst=4)
+        config = AIMDConfig(initial_limit=8.0)
+        assert aimd.SHED_BURST == 4
         limiter = AIMDLimiter(config)
         for _ in range(3):
             limiter.record_shed()
@@ -77,7 +74,7 @@ class TestLimiter:
         assert limiter.tick() == 4.0
 
     def test_effective_is_floored_and_at_least_one(self):
-        limiter = AIMDLimiter(AIMDConfig(initial_limit=1.0, decrease=0.5))
+        limiter = AIMDLimiter(AIMDConfig(initial_limit=1.0))
         limiter.record_miss()
         limiter.tick()
         assert limiter.limit == 1.0
@@ -86,7 +83,7 @@ class TestLimiter:
         assert limiter.effective == 3
 
     def test_cut_then_recover(self):
-        limiter = AIMDLimiter(AIMDConfig(initial_limit=16.0, increase=1.0))
+        limiter = AIMDLimiter(AIMDConfig(initial_limit=16.0))
         limiter.record_miss()
         limiter.tick()
         assert limiter.effective == 8

@@ -13,7 +13,7 @@ from repro.sim.engine import Simulator
 def make_controller(sim, **overrides):
     kwargs = dict(
         max_queue_depth=2,
-        aimd=AIMDConfig(initial_limit=1.0, max_limit=64.0),
+        aimd=AIMDConfig(initial_limit=1.0),
         default_deadline_ms=None,
     )
     kwargs.update(overrides)
@@ -204,20 +204,6 @@ class TestAdmission:
         client.spawn(standard, hold_ms=1.0)
         sim.run()
         assert client.traces[2].outcome is RequestOutcome.SUCCESS
-
-    def test_brownout_shedding_can_be_disabled(self):
-        sim = Simulator()
-        ctrl = make_controller(
-            sim,
-            aimd=AIMDConfig(initial_limit=8.0),
-            brownout_shed_standard=False,
-        )
-        client = Client(sim, ctrl)
-        ctrl.observe_pressure("host-0", 0.8, 0.9, cap_tripped=False)
-        assert ctrl.brownout_active
-        client.spawn(spec_of(), hold_ms=1.0)
-        sim.run()
-        assert client.traces[0].outcome is RequestOutcome.SUCCESS
 
 
 class TestAIMDIntegration:

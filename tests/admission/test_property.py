@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 
 from repro.admission import AdmissionConfig, AdmissionController, AIMDConfig
+from repro.admission import aimd
 from repro.faas import FunctionSpec
 from repro.faas.tracing import RequestOutcome, RequestTrace
 from repro.sim.engine import Simulator
@@ -36,14 +37,13 @@ def build_specs():
     ]
 
 
-def test_shed_plus_done_plus_missed_equals_submitted():
+def test_shed_plus_done_plus_missed_equals_submitted(monkeypatch):
+    monkeypatch.setattr(aimd, "MAX_LIMIT", 32.0)
     sim = Simulator()
     ctrl = AdmissionController(
         AdmissionConfig(
             max_queue_depth=8,
-            aimd=AIMDConfig(
-                initial_limit=4.0, max_limit=32.0, shed_burst=4
-            ),
+            aimd=AIMDConfig(initial_limit=4.0),
             default_deadline_ms=80.0,
         )
     )

@@ -208,6 +208,38 @@ class TestEviction:
         assert ordered == ["c3", "c1", "c2"]  # by added_at, not id
 
 
+class TestDeferredEvictionList:
+    """Retired entries must not pile up on the deferred-eviction list
+    when nothing ever asks for an eviction candidate."""
+
+    def test_register_release_remove_stays_bounded(self, pool):
+        key = key_for()
+        for index in range(5_000):
+            container = make_container(f"c{index}")
+            pool.register(container, key, now=float(index), available=False)
+            pool.release(container, now=float(index))
+            pool.remove(container)
+            assert len(pool._evict_pending) <= 2 * pool.total_live + 64
+        assert pool.total_live == 0
+        assert pool.stats.retired == 5_000
+        pool.check_consistency()
+
+    def test_candidate_unchanged_by_dropping_retired_entries(self, pool):
+        key = key_for()
+        kept = []
+        for index in range(400):
+            container = make_container(f"c{index:03d}")
+            pool.register(container, key, now=float(index), available=True)
+            if index % 100 == 50:
+                kept.append(container)
+        for entry in pool.entries():
+            if entry.container not in kept:
+                pool.remove(entry.container)
+        assert len(pool._evict_pending) <= 2 * pool.total_live + 64
+        pool.check_consistency()
+        assert pool.eviction_candidate().container is kept[0]
+
+
 class TestDeadDiscards:
     def test_discard_dead_uncounts_hit(self, pool):
         key = key_for()

@@ -185,13 +185,11 @@ class TestHotCBrownout:
         self, registry, fn_python, monkeypatch
     ):
         """While browned out the predictor's pool target is scaled by
-        ``brownout_target_factor`` so the pool sheds weight."""
+        ``BROWNOUT_TARGET_FACTOR`` (0.5) so the pool sheds weight."""
         config = HotCConfig(limits=PoolLimits(memory_threshold=0.8))
         platform = make_platform(registry, config)
         platform.deploy(fn_python)
-        ctrl = AdmissionController(
-            AdmissionConfig(brownout_target_factor=0.5)
-        )
+        ctrl = AdmissionController(AdmissionConfig())
         platform.attach_admission(ctrl)
         hotc = platform.provider
         targets = []
@@ -234,9 +232,7 @@ class TestClusterBrownoutIsPerHost:
         )
         platform.deploy(fn_python)
         ctrl = AdmissionController(
-            AdmissionConfig(
-                brownout_exit_margin=0.05, brownout_target_factor=0.5
-            )
+            AdmissionConfig(brownout_exit_margin=0.05)
         )
         platform.attach_admission(ctrl)
         obs = Observatory()

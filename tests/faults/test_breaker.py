@@ -41,12 +41,9 @@ class TestOpen:
         assert not breaker.allow(999.0)
         assert breaker.allow(1_000.0)  # the half-open probe
 
-    def test_disabled_breaker_never_opens(self):
-        breaker = CircuitBreaker(threshold=0, cooldown_ms=1_000)
-        for _ in range(10):
-            assert breaker.record_failure(0.0) is False
-        assert breaker.allow(0.0)
-        assert not breaker.is_open(0.0)
+    def test_rejects_threshold_below_one(self):
+        with pytest.raises(ValueError):
+            CircuitBreaker(threshold=0, cooldown_ms=1_000)
 
     def test_rejects_nonpositive_cooldown(self):
         with pytest.raises(ValueError):

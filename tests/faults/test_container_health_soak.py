@@ -22,12 +22,19 @@ from repro.core import HotC, HotCConfig, PoolLimits
 from repro.faas import FaasPlatform
 from repro.faults import FaultPlan
 from repro.health import ContainerHealthConfig
+from repro.health import container as health_module
 from repro.sim.rng import derive_seed
 
 SEEDS = [1, 2, 3, 4, 5]
 DURATION_MS = 60_000.0
 RECYCLE_RATE_PER_S = 2.0
 RECYCLE_BURST = 3
+
+
+@pytest.fixture(autouse=True)
+def rss_limit(monkeypatch):
+    """Condemn at 128 MB of leaked RSS (the plane's default is 256)."""
+    monkeypatch.setattr(health_module, "RSS_LIMIT_MB", 128.0)
 
 
 def hotc_config():
@@ -38,7 +45,6 @@ def hotc_config():
             max_reuses=10,
             max_age_ms=45_000.0,
             leak_slope_mb=6.0,
-            rss_limit_mb=128.0,
             recycle_rate_per_s=RECYCLE_RATE_PER_S,
             recycle_burst=RECYCLE_BURST,
         ),

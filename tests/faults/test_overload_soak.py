@@ -23,6 +23,7 @@ Invariants asserted across every seed:
 import pytest
 
 from repro.admission import AdmissionConfig, AdmissionController, AIMDConfig
+from repro.admission import aimd
 from repro.core import HotCConfig, PoolLimits, make_cluster_platform
 from repro.faas.tracing import RequestOutcome
 from repro.faults import FaultKind, FaultPlan, ScheduledFault
@@ -48,16 +49,16 @@ def hotc_config():
     )
 
 
+@pytest.fixture(autouse=True)
+def aimd_ceiling(monkeypatch):
+    """Cap every AIMD limit at 16 (the default ceiling is 1,024)."""
+    monkeypatch.setattr(aimd, "MAX_LIMIT", 16.0)
+
+
 def admission_config():
     return AdmissionConfig(
         max_queue_depth=QUEUE_CAP,
-        aimd=AIMDConfig(
-            initial_limit=8.0,
-            max_limit=16.0,
-            increase=1.0,
-            decrease=0.5,
-            shed_burst=4,
-        ),
+        aimd=AIMDConfig(initial_limit=8.0),
         default_deadline_ms=DEADLINE_MS,
     )
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.admission import AdmissionConfig, AdmissionController, AIMDConfig
+from repro.admission import aimd
 from repro.core import HotCConfig, PoolLimits, make_cluster_platform
 from repro.faults import FaultPlan
 from repro.health import HealthMonitor
@@ -39,10 +40,16 @@ def hotc_config():
     )
 
 
+@pytest.fixture(autouse=True)
+def aimd_ceiling(monkeypatch):
+    """Cap every AIMD limit at 32 (the default ceiling is 1,024)."""
+    monkeypatch.setattr(aimd, "MAX_LIMIT", 32.0)
+
+
 def admission_config():
     return AdmissionConfig(
         max_queue_depth=32,
-        aimd=AIMDConfig(initial_limit=8.0, max_limit=32.0),
+        aimd=AIMDConfig(initial_limit=8.0),
         default_deadline_ms=45_000.0,
     )
 

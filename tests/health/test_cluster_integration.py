@@ -3,6 +3,7 @@
 from repro.core import HotCConfig, make_cluster_platform
 from repro.faults import FaultKind, FaultPlan, ScheduledFault
 from repro.health import HealthMonitor, HostState
+from repro.health.lifecycle import PROBATION_HEARTBEATS
 
 
 def make_cluster(registry, n_hosts=2, **kwargs):
@@ -56,7 +57,7 @@ class TestRouting:
         inflated = cluster._load_key(0)[0]
         assert inflated > baseline
         # The penalty relaxes as the on-time streak grows.
-        health.probation_progress = health.config.probation_heartbeats - 1
+        health.probation_progress = PROBATION_HEARTBEATS - 1
         assert cluster._load_key(0)[0] < inflated
 
     def test_draining_host_rejoins_and_serves_again(self, registry, fn_python):

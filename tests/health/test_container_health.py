@@ -1,4 +1,4 @@
-"""Container health plane: FSM, verdicts, and the HotC recycle loop.
+"""Container health plane: flags, verdicts, and the HotC recycle loop.
 
 Unit tests drive :class:`ContainerHealthPlane` directly (it is pure
 bookkeeping on an idle simulator); integration tests run a
@@ -14,11 +14,8 @@ from repro.containers import Container, ContainerConfig
 from repro.core import HotC, HotCConfig, PoolLimits, runtime_key
 from repro.faas import FaasPlatform
 from repro.faults import FaultPlan, FaultSpec
-from repro.health import (
-    ContainerCondition,
-    ContainerHealthConfig,
-    ContainerHealthPlane,
-)
+from repro.health import ContainerHealthConfig, ContainerHealthPlane
+from repro.health import container as health_module
 from repro.sim import Simulator
 
 
@@ -38,17 +35,9 @@ class TestConfigValidation:
         [
             {"max_reuses": 0},
             {"max_age_ms": 0.0},
-            {"warm_after": 0},
-            {"ewma_alpha": 0.0},
-            {"ewma_alpha": 1.5},
-            {"residual_threshold": 1.0},
-            {"suspect_after": 0},
             {"leak_slope_mb": 0.0},
-            {"rss_limit_mb": -1.0},
-            {"breaker_threshold": 0},
             {"recycle_rate_per_s": 0.0},
             {"recycle_burst": 0},
-            {"sanitize_ms": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -60,41 +49,13 @@ class TestConfigValidation:
         assert config.max_reuses is None
         assert config.max_age_ms is None
 
-    def test_condition_codes_follow_fsm_order(self):
-        codes = [c.code for c in ContainerCondition]
-        assert codes == sorted(codes)
-        assert ContainerCondition.FRESH.serving
-        assert ContainerCondition.WARM.serving
-        assert not ContainerCondition.SUSPECT.serving
-        assert not ContainerCondition.QUARANTINED.serving
-        assert not ContainerCondition.RECYCLING.serving
-
 
 class TestPlaneEvidence:
-    def test_fresh_graduates_to_warm(self):
-        plane = ContainerHealthPlane(
-            ContainerHealthConfig(warm_after=2), Simulator()
-        )
-        container = make_container()
-        key = key_for(container)
-        container.exec_count = 1
-        container.last_exec_ms = 20.0
-        record = plane.observe_success(container, key, now=1.0)
-        assert record.state is ContainerCondition.FRESH
-        container.exec_count = 2
-        record = plane.observe_success(container, key, now=2.0)
-        assert record.state is ContainerCondition.WARM
-        assert record.transitions == [
-            (2.0, ContainerCondition.FRESH, ContainerCondition.WARM)
-        ]
-
-    def test_residual_drift_demotes_to_suspect(self):
-        plane = ContainerHealthPlane(
-            ContainerHealthConfig(
-                residual_threshold=1.5, suspect_after=2, ewma_alpha=1.0
-            ),
-            Simulator(),
-        )
+    def test_residual_drift_demotes_to_suspect(self, monkeypatch):
+        monkeypatch.setattr(health_module, "RESIDUAL_THRESHOLD", 1.5)
+        monkeypatch.setattr(health_module, "SUSPECT_AFTER", 2)
+        monkeypatch.setattr(health_module, "EWMA_ALPHA", 1.0)
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         key = key_for(container)
         # Establish the key baseline with a healthy sibling.
@@ -105,8 +66,7 @@ class TestPlaneEvidence:
         # The aging container runs 4x over baseline.
         container.exec_count = 3
         container.last_exec_ms = 80.0
-        record = plane.observe_success(container, key, now=1.0)
-        assert record.state is ContainerCondition.SUSPECT
+        plane.observe_success(container, key, now=1.0)
         assert container.tainted
         assert not container.condemned
         assert plane.suspects == 1
@@ -115,70 +75,65 @@ class TestPlaneEvidence:
         plane.observe_success(container, key, now=2.0)
         assert plane.suspects == 1
 
-    def test_residual_needs_enough_execs(self):
-        plane = ContainerHealthPlane(
-            ContainerHealthConfig(
-                residual_threshold=1.5, suspect_after=5, ewma_alpha=1.0
-            ),
-            Simulator(),
-        )
+    def test_residual_needs_enough_execs(self, monkeypatch):
+        monkeypatch.setattr(health_module, "RESIDUAL_THRESHOLD", 1.5)
+        monkeypatch.setattr(health_module, "SUSPECT_AFTER", 5)
+        monkeypatch.setattr(health_module, "EWMA_ALPHA", 1.0)
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         key = key_for(container)
         healthy = make_container("h0")
         healthy.exec_count = 5
         healthy.last_exec_ms = 20.0
         plane.observe_success(healthy, key, now=0.0)
-        container.exec_count = 2  # below suspect_after
+        container.exec_count = 2  # below SUSPECT_AFTER
         container.last_exec_ms = 200.0
-        record = plane.observe_success(container, key, now=1.0)
-        assert record.state.serving
+        plane.observe_success(container, key, now=1.0)
+        assert not container.tainted
 
-    def test_rss_limit_condemns_immediately(self):
-        plane = ContainerHealthPlane(
-            ContainerHealthConfig(rss_limit_mb=100.0), Simulator()
-        )
+    def test_rss_limit_condemns_immediately(self, monkeypatch):
+        monkeypatch.setattr(health_module, "RSS_LIMIT_MB", 100.0)
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         container.exec_count = 3
         container.last_exec_ms = 20.0
         container.rss_mb = 120.0
-        record = plane.observe_success(container, key_for(container), now=1.0)
-        assert record.state is ContainerCondition.QUARANTINED
+        plane.observe_success(container, key_for(container), now=1.0)
+        assert container.tainted
         assert container.condemned
         assert plane.quarantines == 1
 
     def test_failure_opens_breaker_and_condemns(self):
-        plane = ContainerHealthPlane(
-            ContainerHealthConfig(breaker_threshold=1), Simulator()
-        )
+        """One exec failure condemns, under the ``breaker`` reason."""
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         record = plane.observe_failure(container, key_for(container), now=1.0)
-        assert record.state is ContainerCondition.QUARANTINED
-        assert record.breaker.is_open(1.0)
+        assert record.key == key_for(container)
         assert container.condemned
+        assert plane.quarantines == 1
+        # A second failure does not condemn twice.
+        plane.observe_failure(container, key_for(container), now=2.0)
+        assert plane.quarantines == 1
 
-    def test_failure_threshold_above_one_gives_grace(self):
-        plane = ContainerHealthPlane(
-            ContainerHealthConfig(breaker_threshold=2), Simulator()
-        )
+    def test_condemn_without_evidence_keys_the_record_by_image(self):
+        """An idle container condemned before any exec (the control
+        tick's ``max_age`` sweep) gets a record under its image, which
+        its quarantine and recycle events carry as their key."""
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
-        key = key_for(container)
-        record = plane.observe_failure(container, key, now=1.0)
-        assert record.state.serving
-        record = plane.observe_failure(container, key, now=2.0)
-        assert record.state is ContainerCondition.QUARANTINED
+        plane.condemn(container, None, now=1.0, reason="max_age")
+        assert plane.record_of(container).key == "python:3.6"
+        assert container.condemned
+        assert plane.quarantines == 1
 
     def test_failure_on_suspect_condemns(self):
-        """A failed half-open probe on a SUSPECT container is terminal."""
-        plane = ContainerHealthPlane(
-            ContainerHealthConfig(breaker_threshold=3), Simulator()
-        )
+        """A failure on a tainted (SUSPECT) container is terminal."""
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         key = key_for(container)
-        record = plane.track(container, key)
-        record.transition_to(ContainerCondition.SUSPECT, 0.0)
         container.tainted = True
-        record = plane.observe_failure(container, key, now=1.0)
-        assert record.state is ContainerCondition.QUARANTINED
+        plane.observe_failure(container, key, now=1.0)
+        assert container.condemned
 
 
 class TestRecycleVerdicts:
@@ -258,17 +213,16 @@ class TestRespecHygiene:
         container.exec_count = 5
         container.last_exec_ms = 20.0
         record = plane.observe_success(container, old_key, now=1.0)
-        assert record.state is ContainerCondition.WARM
+        record.residual_ewma = 1.7
         cost = plane.note_respec(container, "new-key", now=2.0)
         assert cost == 0.0
         fresh = plane.record_of(container)
         assert fresh.key == "new-key"
-        assert fresh.state is ContainerCondition.FRESH
+        assert fresh.residual_ewma == 1.0
 
-    def test_respec_scrubs_poison_for_sanitize_cost(self):
-        plane = ContainerHealthPlane(
-            ContainerHealthConfig(sanitize_ms=40.0), Simulator()
-        )
+    def test_respec_scrubs_poison_for_sanitize_cost(self, monkeypatch):
+        monkeypatch.setattr(health_module, "SANITIZE_MS", 40.0)
+        plane = ContainerHealthPlane(ContainerHealthConfig(), Simulator())
         container = make_container()
         container.poisoned = True
         cost = plane.note_respec(container, "new-key", now=1.0)
@@ -304,7 +258,7 @@ def trace_tuples(platform):
 
 class TestHotCIntegration:
     def test_enabled_but_untriggered_plane_changes_nothing(
-        self, registry, fn_python
+        self, registry, fn_python, monkeypatch
     ):
         """With generous caps and no faults the plane observes but never
         intervenes — traces must be bit-identical to a disabled run."""
@@ -316,9 +270,8 @@ class TestHotCIntegration:
             platform.run(until=60_000.0)
             return trace_tuples(platform)
 
-        lenient = ContainerHealthConfig(
-            max_reuses=10_000, max_age_ms=None, residual_threshold=50.0
-        )
+        monkeypatch.setattr(health_module, "RESIDUAL_THRESHOLD", 50.0)
+        lenient = ContainerHealthConfig(max_reuses=10_000, max_age_ms=None)
         assert run(lenient) == run(None)
 
     def test_retired_containers_leave_no_record(self, registry, fn_python):

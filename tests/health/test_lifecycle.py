@@ -3,7 +3,7 @@
 import pytest
 
 from repro.containers import ContainerEngine, Registry, make_base_image
-from repro.health import HealthConfig, HostHealth, HostState
+from repro.health import HealthConfig, HostHealth, HostState, lifecycle
 from repro.sim import Simulator
 
 
@@ -20,17 +20,6 @@ def make_health(engine, **overrides):
 class TestConfig:
     def test_defaults_valid(self):
         HealthConfig()
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"slow_factor": 1.0},
-            {"probation_heartbeats": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, overrides):
-        with pytest.raises(ValueError):
-            HealthConfig(**overrides)
 
 
 class TestStates:
@@ -58,8 +47,9 @@ class TestHostHealth:
         health.transition_to(HostState.HEALTHY, now=50.0)
         assert health.transitions == []
 
-    def test_probation_weight_ramps_linearly(self, engine):
-        health = make_health(engine, probation_heartbeats=4)
+    def test_probation_weight_ramps_linearly(self, engine, monkeypatch):
+        monkeypatch.setattr(lifecycle, "PROBATION_HEARTBEATS", 4)
+        health = make_health(engine)
         health.transition_to(HostState.PROBATION, now=0.0)
         weights = []
         for _ in range(4):
@@ -86,7 +76,8 @@ class TestHostHealth:
         assert health.probation_progress == 0
 
     def test_is_slow_needs_data_and_a_stretched_mean(self, engine):
-        health = make_health(engine, slow_factor=2.0)
+        assert lifecycle.SLOW_FACTOR == 2.0
+        health = make_health(engine)
         assert not health.is_slow  # no intervals yet
         t = 0.0
         health.detector.heartbeat(t)

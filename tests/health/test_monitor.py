@@ -4,7 +4,7 @@ import pytest
 
 from repro.containers import ContainerEngine, Registry, make_base_image
 from repro.faults import FaultPlan
-from repro.health import HealthConfig, HealthMonitor, HostState
+from repro.health import HealthConfig, HealthMonitor, HostState, lifecycle
 from repro.obs import EventKind, Observatory
 from repro.sim import Simulator
 
@@ -80,8 +80,11 @@ class TestSilence:
         assert monitor.state(engine.name) is HostState.DRAINING
         assert len(drained) == 1
 
-    def test_recovery_goes_through_probation(self, sim, engine, injector):
-        monitor = make_monitor(sim, engine, probation_heartbeats=4)
+    def test_recovery_goes_through_probation(
+        self, sim, engine, injector, monkeypatch
+    ):
+        monkeypatch.setattr(lifecycle, "PROBATION_HEARTBEATS", 4)
+        monitor = make_monitor(sim, engine)
         monitor.start()
         sim.run(until=5_000.0)
         sim.schedule(0.0, lambda: setattr(injector, "heartbeats_lost", True))
@@ -119,7 +122,7 @@ class TestGraySlowdown:
         sim.schedule(0.0, lambda: setattr(injector, "latency_multiplier", 3.0))
         sim.run(until=20_000.0)
         # Heartbeats still arrive — just 3x late — and that alone is
-        # enough evidence: the learned mean blows the slow_factor gate.
+        # enough evidence: the learned mean blows the SLOW_FACTOR gate.
         assert monitor.state(engine.name) is HostState.SUSPECT
         assert monitor.hosts[engine.name].is_slow
         sim.schedule(0.0, lambda: setattr(injector, "latency_multiplier", 1.0))
