@@ -39,7 +39,7 @@ def run(with_monitor: bool):
         # A small detector window lets the learned mean track the
         # stretched heartbeats quickly enough to call the limp early.
         monitor = HealthMonitor(platform.sim, HealthConfig(window=8))
-        cluster.attach_health(monitor)
+        monitor.attach(cluster.hosts)
         monitor.start()
 
     plan = FaultPlan(

@@ -17,6 +17,10 @@ per host and routes each request with a two-level policy:
 
 The scheduler also exposes per-host statistics so the load-balancing
 ablation can quantify skew.
+
+The scheduler keeps no copy of facts that live elsewhere: a container's
+host is the ``host-N`` prefix of its id, and host health is the
+simulator's ``health`` slot (:meth:`repro.health.HealthMonitor.attach`).
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ class ClusterHotC(RuntimeProvider):
     Parameters
     ----------
     engines:
-        One container engine per backend host.
+        One container engine per backend host, each with its own name
+        (container ids carry it, and the cluster routes by it).
     config:
         Shared HotC configuration (per-host pools use the same limits).
     placement:
@@ -96,38 +101,22 @@ class ClusterHotC(RuntimeProvider):
             raise ValueError("cluster needs at least one engine")
         if placement not in ("reuse-aware", "round-robin"):
             raise ValueError(f"unknown placement policy {placement!r}")
+        #: Host index by engine name: the prefix of its container ids.
+        self._host_index: Dict[str, int] = {
+            engine.name: index for index, engine in enumerate(engines)
+        }
+        if len(self._host_index) != len(engines):
+            raise ValueError("cluster engines need distinct names")
         self.placement = placement
         self.hosts: List[HotC] = [HotC(engine, config) for engine in engines]
         self.sim = self.hosts[0].sim
         self.stats = ClusterStats(self.hosts)
         self._inflight: Dict[int, int] = {index: 0 for index in range(len(engines))}
-        self._by_container: Dict[str, int] = {}
         self._rr_next = 0
         #: Host indexes currently believed down (outage in progress).
         self._down: set = set()
-        #: Optional health monitor; ``None`` keeps routing decisions
-        #: exactly as before (binary lazy down-set only).
-        self.health = None
         #: True between crash_control_plane() and recover_from().
         self._crashed = False
-
-    def attach_health(self, monitor) -> None:
-        """Route around sick hosts via a phi-accrual monitor.
-
-        Every host is registered with the monitor; its drain hook drops
-        the host's pool metadata and absorbs in-flight prewarm boots
-        when the detector declares the host lost.  The scheduler then
-        skips unroutable (suspect/quarantined/draining) hosts and ramps
-        probation hosts back in by weighting their load key.
-        ``None`` detaches and restores the pure down-set behaviour.
-        """
-        self.health = monitor
-        if monitor is None:
-            return
-        for host in self.hosts:
-            monitor.register_host(
-                host.engine.name, host.engine, on_drain=host.drain_lost
-            )
 
     # -- introspection ----------------------------------------------------
     @property
@@ -135,18 +124,23 @@ class ClusterHotC(RuntimeProvider):
         """Number of backend hosts."""
         return len(self.hosts)
 
-    def host_of(self, container: Container) -> HotC:
-        """The per-host HotC that owns ``container``."""
-        try:
-            return self.hosts[self._by_container[container.container_id]]
-        except KeyError:
+    def _index_of(self, container: Container) -> int:
+        """Index of the host named by the container id's prefix."""
+        name, slash, _ = container.container_id.partition("/")
+        index = self._host_index.get(name) if slash else None
+        if index is None:
             raise KeyError(
-                f"container {container.container_id} is not tracked by this cluster"
-            ) from None
+                f"container {container.container_id} names no host of this cluster"
+            )
+        return index
+
+    def host_of(self, container: Container) -> HotC:
+        """The per-host HotC that runs ``container``."""
+        return self.hosts[self._index_of(container)]
 
     def engine_for(self, container: Container) -> ContainerEngine:
         """The engine a container runs on (used by the watchdog)."""
-        return self.host_of(container).engine
+        return self.hosts[self._index_of(container)].engine
 
     def inflight(self, host_index: int) -> int:
         """Requests currently assigned to a host."""
@@ -195,20 +189,22 @@ class ClusterHotC(RuntimeProvider):
         self.stats.hosts_lost += 1
         host = self.hosts[index]
         host.drain_lost()
-        if self.health is not None:
+        health = self.sim.health
+        if health is not None:
             # Confirmed unreachability beats any phi estimate.
-            self.health.on_host_down(host.engine.name)
+            health.on_host_down(host.engine.name)
 
     # -- placement ----------------------------------------------------------
     def _routable(self, index: int) -> bool:
-        health = self.health
+        health = self.sim.health
         return health is None or health.routable(self.hosts[index].engine.name)
 
     def _load_key(self, index: int) -> Tuple[float, float, int]:
         host = self.hosts[index]
         load = float(self._inflight[index])
-        if self.health is not None:
-            weight = self.health.routing_weight(host.engine.name)
+        health = self.sim.health
+        if health is not None:
+            weight = health.routing_weight(host.engine.name)
             if weight < 1.0:
                 # Probation ramp: a low weight inflates apparent load so
                 # the host wins ties progressively more often as its
@@ -229,7 +225,7 @@ class ClusterHotC(RuntimeProvider):
         the down-set are skipped; with every host ruled out the request
         cannot be served and :class:`RuntimeUnavailableError` is raised.
         """
-        if not excluded and not self._down and self.health is None:
+        if not excluded and not self._down and self.sim.health is None:
             # Healthy-cluster fast path: every host is a candidate, and
             # rebuilding that list per request is measurable at trace
             # scale.
@@ -303,7 +299,6 @@ class ClusterHotC(RuntimeProvider):
                     raise  # nothing left to fail over to
                 reason = type(error).__name__
             else:
-                self._by_container[container.container_id] = index
                 return container, cold
             self.stats.failovers += 1
             obs = self.sim.obs
@@ -323,38 +318,17 @@ class ClusterHotC(RuntimeProvider):
             count = 0
         self._inflight[index] = count
 
-    def _host_index_of(self, container: Container) -> Optional[int]:
-        """Recover routing from the container id's host-name prefix."""
-        for index, host in enumerate(self.hosts):
-            if container.container_id.startswith(host.engine.name + "/"):
-                return index
-        return None
-
     def release(self, container: Container) -> Generator:
-        index = self._by_container.pop(container.container_id, None)
-        if index is None:
-            if self.sim.recovery is None:
-                raise KeyError(
-                    f"container {container.container_id} is not tracked "
-                    "by this cluster"
-                )
-            # The routing entry died with a control-plane crash; the
-            # container id itself names the host that runs it.
-            index = self._host_index_of(container)
-            if index is None:
-                return
+        index = self._index_of(container)
         self._dec_inflight(index)
         yield from self.hosts[index].release(container)
 
     def discard(self, container: Container) -> None:
         """Drop a mid-request casualty: bookkeeping only, no cleanup I/O."""
-        index = self._by_container.pop(container.container_id, None)
-        if index is None:
-            if self.sim.recovery is None:
-                return
-            index = self._host_index_of(container)
-            if index is None:
-                return
+        try:
+            index = self._index_of(container)
+        except KeyError:
+            return
         self._dec_inflight(index)
         self.hosts[index].discard(container)
 
@@ -371,31 +345,23 @@ class ClusterHotC(RuntimeProvider):
         lost = 0
         for host in self.hosts:
             lost += host.crash_control_plane()
-        self._by_container.clear()
         for index in self._inflight:
             self._inflight[index] = 0
         self._down.clear()
         return lost
 
     def recover_from(self, checkpoint=None):
-        """Rebuild every host, then re-derive the routing indexes.
+        """Rebuild every host, then re-derive the routing counts.
 
         Host-level recovery re-adopts containers from engine ground
-        truth; the cluster then rebuilds ``_by_container``/``_inflight``
-        from the leased (request-owned) pool entries and re-derives the
-        down-set from engine reachability.
+        truth; the cluster then rebuilds ``_inflight`` from the leased
+        (request-owned) pool entries and re-derives the down-set from
+        engine reachability.
         """
         repairs = []
-        for host in self.hosts:
-            repairs.extend(host.recover_from(checkpoint))
-        self._by_container.clear()
         for index, host in enumerate(self.hosts):
-            inflight = 0
-            for entry in host.pool.entries():
-                if not entry.available and entry.container.leased:
-                    self._by_container[entry.container.container_id] = index
-                    inflight += 1
-            self._inflight[index] = inflight
+            repairs.extend(host.recover_from(checkpoint))
+            self._inflight[index] = _leased_count(host)
         self._down.clear()
         for index, host in enumerate(self.hosts):
             if host.engine.is_unreachable:
@@ -404,18 +370,7 @@ class ClusterHotC(RuntimeProvider):
         return repairs
 
     def check_consistency(self) -> None:
-        """Cross-layer invariant audit (pools + routing indexes)."""
-        busy_routed = {index: 0 for index in range(len(self.hosts))}
-        for container_id, index in self._by_container.items():
-            assert 0 <= index < len(self.hosts), (
-                f"container {container_id} routed to invalid host {index}"
-            )
-            host = self.hosts[index]
-            assert container_id.startswith(host.engine.name + "/"), (
-                f"container {container_id} routed to wrong host "
-                f"{host.engine.name}"
-            )
-            busy_routed[index] += 1
+        """Cross-layer invariant audit (pools + in-flight counts)."""
         for index, host in enumerate(self.hosts):
             host.check_consistency()
             assert self._inflight[index] >= 0, (
@@ -424,10 +379,10 @@ class ClusterHotC(RuntimeProvider):
             if self.sim.recovery is None:
                 # Post-crash floors can transiently break this bound,
                 # so it only holds in the never-crashed regime.
-                assert self._inflight[index] >= busy_routed[index], (
-                    f"host {index} tracks more busy containers "
-                    f"({busy_routed[index]}) than in-flight requests "
-                    f"({self._inflight[index]})"
+                leased = _leased_count(host)
+                assert self._inflight[index] >= leased, (
+                    f"host {index} leases more containers ({leased}) "
+                    f"than it has in-flight requests ({self._inflight[index]})"
                 )
         for index in self._down:
             assert 0 <= index < len(self.hosts), (
@@ -454,6 +409,14 @@ class ClusterHotC(RuntimeProvider):
     def shutdown(self) -> Generator:
         for host in self.hosts:
             yield from host.shutdown()
+
+
+def _leased_count(host: HotC) -> int:
+    """Pool entries of ``host`` that a request holds."""
+    return sum(
+        1 for entry in host.pool.entries()
+        if not entry.available and entry.container.leased
+    )
 
 
 def _make_hosts(

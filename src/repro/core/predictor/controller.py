@@ -10,17 +10,18 @@ with every key's demand and reads :meth:`~AdaptivePoolController.target`
 The controller is a structure-of-arrays *bank* with one row per key:
 ES level and count, the last corrected forecast, the residual window
 (values plus ``int8`` region states) with its bin edges and range,
-per-lag transition counts of shape ``(K, horizon, n, n)``, state
-occupancy, and the demand/forecast histories.  One :meth:`observe`
-call advances every row in a handful of numpy passes — the ES update
-(Eq. 1), the Markov append with incremental lag counts, a batched
-rebuild for rows whose residual range changed, the 1-step Markov
-correction (Eq. 2) and the risk-aware upper forecast — and caches both
-targets, so the per-key queries are O(1) reads.
+per-lag transition counts of shape ``(K, HORIZON, N_STATES,
+N_STATES)``, state occupancy, and the demand/forecast histories.  One
+:meth:`observe` call advances every row in a handful of numpy passes —
+the ES update (Eq. 1), the Markov append with incremental lag counts, a
+batched rebuild for rows whose residual range changed, the 1-step
+Markov correction (Eq. 2) and the risk-aware upper forecast — and
+caches both targets, so the per-key queries are O(1) reads.
 
 :class:`~repro.core.predictor.combined.CombinedPredictor` stays the
-executable spec: a bank row reproduces one ``CombinedPredictor`` (fed
-the same series) bit for bit, which ``tests/core/test_predictor_bank.py``
+executable spec: a bank row reproduces one default
+``CombinedPredictor`` with the same ``min_history`` (fed the same
+series) bit for bit, which ``tests/core/test_predictor_bank.py``
 checks on every tick.  DESIGN.md §5c explains why the batched
 arithmetic is exactly the scalar arithmetic.
 """
@@ -31,15 +32,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predictor.exponential import _INIT_POLICIES, _INIT_WINDOW
+from repro.core.predictor.exponential import _INIT_WINDOW
 from repro.core.predictor.markov import DEFAULT_WINDOW
 
 __all__ = ["AdaptivePoolController"]
 
+#: Eq. 1 smoothing factor (the paper's choice).  The level starts as
+#: the running mean of the first ``_INIT_WINDOW`` (5) observations, the
+#: spec's ``init="auto"``.
+ALPHA = 0.8
+#: Regions the residual range is split into (Eq. 2's Markov states).
+N_STATES = 4
+#: Residuals (and demand/forecast history) each key keeps.
+WINDOW = DEFAULT_WINDOW
+#: :meth:`AdaptivePoolController.target_upper` provisions for the
+#: ``QUANTILE`` of demand over the next ``HORIZON`` intervals.
+QUANTILE = 0.9
+HORIZON = 4
+
 #: Initial row capacity (keys); doubles as keys arrive.
 _INITIAL_ROWS = 16
 #: Initial column capacity of the windows; doubles with the longest
-#: retained series, up to the window length.
+#: retained series, up to ``WINDOW``.
 _INITIAL_COLS = 8
 
 #: Per-row arrays grown together when keys arrive.
@@ -61,62 +75,30 @@ def _grown(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class AdaptivePoolController:
     """ES + Markov demand predictor bank, one row per runtime key.
 
-    Parameters mirror :class:`CombinedPredictor` (``alpha``,
-    ``n_states``, ``init``, ``min_history``, ``markov_window``; the
-    forecast is clamped at 0) plus the pool-sizing risk level:
+    Each row is a default :class:`CombinedPredictor` (the module
+    constants; the forecast is clamped at 0) built with:
 
-    quantile, horizon:
-        :meth:`target_upper` provisions for the ``quantile`` of the
-        demand over the next ``horizon`` intervals (see
-        :meth:`CombinedPredictor.forecast_upper`).
+    min_history:
+        Observations before the Markov correction engages.
     max_target:
         Upper clamp on any per-key target (safety net, mirrors the
         pool-wide 500-container cap).
 
-    ``history`` and ``forecast_history`` keep the last ``markov_window``
-    observations per key (everything when the window is ``None``), so a
-    long run does not grow them without bound.
+    ``history`` and ``forecast_history`` keep the last ``WINDOW``
+    observations per key, so a long run does not grow them without
+    bound.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.8,
-        n_states: int = 4,
-        init: str = "auto",
-        min_history: int = 6,
-        markov_window: Optional[int] = DEFAULT_WINDOW,
-        quantile: float = 0.9,
-        horizon: int = 4,
-        max_target: int = 500,
-    ) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if init not in _INIT_POLICIES:
-            raise ValueError(f"init must be one of {_INIT_POLICIES}, got {init!r}")
-        if not 2 <= n_states <= 127:
-            raise ValueError(f"n_states must be in [2, 127], got {n_states}")
+    def __init__(self, min_history: int = 6, max_target: int = 500) -> None:
         if min_history < 2:
             raise ValueError("min_history must be >= 2")
-        if markov_window is not None and markov_window < 2:
-            raise ValueError(f"window must be >= 2 (or None), got {markov_window}")
-        if not 0.0 < quantile <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
         if max_target < 0:
             raise ValueError("max_target must be >= 0")
-        self.alpha = alpha
-        self.n_states = n_states
-        self.init = init
         self.min_history = min_history
-        self.window = markov_window
-        self.quantile = quantile
-        self.horizon = horizon
         self.max_target = max_target
         self._rows: Dict[object, int] = {}
         rows = _INITIAL_ROWS
-        cols = _INITIAL_COLS if markov_window is None else min(_INITIAL_COLS, markov_window)
-        self._cols = cols
+        cols = self._cols = _INITIAL_COLS
         # -- ES (Eq. 1) and the cached outputs ------------------------------
         self._count = np.zeros(rows, dtype=np.int64)
         self._level = np.zeros(rows)
@@ -126,9 +108,9 @@ class AdaptivePoolController:
         # -- residual Markov chain (Eq. 2) -----------------------------------
         self._lo = np.zeros(rows)
         self._hi = np.zeros(rows)
-        self._edges = np.zeros((rows, n_states + 1))
-        self._occupancy = np.zeros((rows, n_states), dtype=np.int64)
-        self._counts = np.zeros((rows, horizon, n_states, n_states), dtype=np.int64)
+        self._edges = np.zeros((rows, N_STATES + 1))
+        self._occupancy = np.zeros((rows, N_STATES), dtype=np.int64)
+        self._counts = np.zeros((rows, HORIZON, N_STATES, N_STATES), dtype=np.int64)
         # -- windows, indexed by observation step modulo ``_cols`` -----------
         self._values = np.zeros((rows, cols))
         self._states = np.zeros((rows, cols), dtype=np.int8)
@@ -162,18 +144,17 @@ class AdaptivePoolController:
         # Eq. 1; the mean-based init averages the first observations.
         prev = self._level[r]
         n_obs = t + 1
-        level = self.alpha * x + (1 - self.alpha) * prev
-        if self.init != "first":
-            warm = n_obs <= _INIT_WINDOW
-            if warm.any():
-                level = np.where(warm, prev + (x - prev) / n_obs, level)
+        level = ALPHA * x + (1 - ALPHA) * prev
+        warm = n_obs <= _INIT_WINDOW
+        if warm.any():
+            level = np.where(warm, prev + (x - prev) / n_obs, level)
         level = np.where(t == 0, x, level)
 
         # The residual of the previous trend forecast feeds the chain.
         later = t >= 1
         if later.any():
             self._append_residuals(r[later], t[later], x[later] - prev[later])
-        residuals = t if self.window is None else np.minimum(t, self.window)
+        residuals = np.minimum(t, WINDOW)
         engaged = (n_obs >= self.min_history) & (residuals >= 2)
 
         forecast = level
@@ -226,18 +207,16 @@ class AdaptivePoolController:
     def _fit_columns(self, step: int) -> None:
         """Make room for observation ``step`` in the windows.
 
-        Columns double with the longest retained series, up to the
-        window length; once a row has filled the window, step ``t``
-        overwrites step ``t - window`` in column ``t % window``.
+        Columns double with the longest retained series, up to
+        ``WINDOW``; once a row has filled the window, step ``t``
+        overwrites step ``t - WINDOW`` in column ``t % WINDOW``.
         """
         cols = self._cols
-        if step < cols or cols == self.window:
+        if step < cols or cols == WINDOW:
             return
         while cols <= step:
             cols *= 2
-        if self.window is not None:
-            cols = min(cols, self.window)
-        self._cols = cols
+        cols = self._cols = min(cols, WINDOW)
         for name in _WINDOW_ARRAYS:
             array = getattr(self, name)
             setattr(self, name, _grown(array, (array.shape[0], cols)))
@@ -245,25 +224,23 @@ class AdaptivePoolController:
     def _append_residuals(self, r: np.ndarray, t: np.ndarray, v: np.ndarray) -> None:
         """:meth:`MarkovChain.update` for rows ``r``: residual ``v`` of step ``t``."""
         cols = self._cols
-        window = self.window
         counts = self._counts
         states = self._states
-        length = t - 1 if window is None else np.minimum(t - 1, window)
+        length = np.minimum(t - 1, WINDOW)
         # Rows without bin edges yet rebuild as soon as they have two.
         dirty = length < 2
-        if window is not None:
-            full = length == window
-            if full.any():
-                fr, ft = r[full], t[full]
-                head = (ft - window) % cols
-                first = states[fr, head]
-                for k in range(1, min(self.horizon, window - 1) + 1):
-                    counts[fr, k - 1, first, states[fr, (head + k) % cols]] -= 1
-                self._occupancy[fr, first] -= 1
-                evicted = self._values[fr, head]
-                # An extreme left the window: the bins must be rebuilt.
-                dirty[full] = (evicted == self._lo[fr]) | (evicted == self._hi[fr])
-                length = length - full
+        full = length == WINDOW
+        if full.any():
+            fr, ft = r[full], t[full]
+            head = (ft - WINDOW) % cols
+            first = states[fr, head]
+            for k in range(1, min(HORIZON, WINDOW - 1) + 1):
+                counts[fr, k - 1, first, states[fr, (head + k) % cols]] -= 1
+            self._occupancy[fr, first] -= 1
+            evicted = self._values[fr, head]
+            # An extreme left the window: the bins must be rebuilt.
+            dirty[full] = (evicted == self._lo[fr]) | (evicted == self._hi[fr])
+            length = length - full
         col = t % cols
         self._values[r, col] = v
         length = length + 1
@@ -275,7 +252,7 @@ class AdaptivePoolController:
         if step.any():
             sr, st, sl = r[step], t[step], length[step]
             state = self._bin(self._edges[sr], v[step])
-            for k in range(1, self.horizon + 1):
+            for k in range(1, HORIZON + 1):
                 has = sl > k
                 if has.any():
                     counts[sr[has], k - 1, states[sr[has], (st[has] - k) % cols], state[has]] += 1
@@ -284,7 +261,7 @@ class AdaptivePoolController:
 
     def _rebuild(self, r: np.ndarray, t: np.ndarray, length: np.ndarray) -> None:
         """:meth:`MarkovChain._rebuild` for rows ``r`` (windows end at step ``t``)."""
-        n = self.n_states
+        n = N_STATES
         span = np.arange(int(length.max()))
         valid = span < length[:, None]
         cols = ((t - length + 1)[:, None] + span) % self._cols
@@ -303,7 +280,7 @@ class AdaptivePoolController:
         self._occupancy[r] = np.bincount(
             cells[valid], minlength=r.size * n
         ).reshape(r.size, n)
-        for k in range(1, self.horizon + 1):
+        for k in range(1, HORIZON + 1):
             pairs = cells[:, :-k] * n + states[:, k:]
             self._counts[r, k - 1] = np.bincount(
                 pairs[valid[:, k:]], minlength=r.size * n * n
@@ -313,7 +290,7 @@ class AdaptivePoolController:
         """Region state of each value: ``searchsorted(edges, v, "right") - 1``
         (the count of edges <= v, minus one), clipped to the states."""
         below = (values[..., None] >= edges).sum(axis=-1)
-        return np.clip(below - 1, 0, self.n_states - 1)
+        return np.clip(below - 1, 0, N_STATES - 1)
 
     def _forecast_upper(
         self,
@@ -324,13 +301,13 @@ class AdaptivePoolController:
         point: np.ndarray,
     ) -> np.ndarray:
         """:meth:`CombinedPredictor.forecast_upper` for engaged rows ``r``."""
-        n = self.n_states
+        n = N_STATES
         rows = np.arange(r.size)
         order = np.argsort(midpoints, axis=1)
-        threshold = self.quantile - 1e-12
+        threshold = QUANTILE - 1e-12
         marginal = None
         best = point
-        for k in range(self.horizon):
+        for k in range(HORIZON):
             row = self._counts[r, k, state].astype(float)
             sums = row.sum(axis=1)
             empty = sums == 0
@@ -397,7 +374,7 @@ class AdaptivePoolController:
         return tuple(self._rows)
 
     def history(self, key) -> Tuple[float, ...]:
-        """Raw demand history of a key (the last ``markov_window`` steps)."""
+        """Raw demand history of a key (the last ``WINDOW`` steps)."""
         return self._series(key, self._demand)
 
     def forecast_history(self, key) -> Tuple[float, ...]:
@@ -409,21 +386,6 @@ class AdaptivePoolController:
         if row is None:
             return ()
         count = self._count.item(row)
-        kept = count if self.window is None else min(count, self.window)
+        kept = min(count, WINDOW)
         steps = np.arange(count - kept, count) % self._cols
         return tuple(table[row, steps].tolist())
-
-    def relative_errors(self, key) -> Tuple[float, ...]:
-        """|forecast_{t-1} - actual_t| / max(actual_t, 1) per step.
-
-        ``forecast_history[i]`` predicts ``history[i+1]`` — the series
-        behind the paper's "relative error drops from 29% to 10%" claim.
-        """
-        history = self.history(key)
-        forecasts = self.forecast_history(key)
-        errors = []
-        for index in range(1, len(history)):
-            actual = history[index]
-            predicted = forecasts[index - 1]
-            errors.append(abs(predicted - actual) / max(actual, 1.0))
-        return tuple(errors)

@@ -122,11 +122,6 @@ class RequestTrace:
         """(3) -> (4): business logic execution."""
         return self.t4_function_stop - self.t3_function_start
 
-    @property
-    def response_ms(self) -> float:
-        """(4) -> (6): response propagation back to the client."""
-        return self.t6_client_recv - self.t4_function_stop
-
     def segments(self) -> Dict[str, float]:
         """Named breakdown used by the Fig 5 experiment."""
         return {

@@ -15,13 +15,15 @@ host's lifecycle state machine (see :mod:`repro.health.lifecycle`) and
 emits ``HOST_SUSPECT`` / ``HOST_QUARANTINED`` / ``HOST_RECOVERED``
 events plus a per-host lifecycle-state gauge through the observatory.
 
-The cluster consults :meth:`routable` when picking hosts and
-:meth:`routing_weight` to reintroduce probation hosts gradually; a
-host entering DRAINING fires its registered drain hook (the cluster
-drops pool metadata and absorbs pending prewarm boots there).
+:meth:`attach` registers every host of a cluster with its
+``drain_lost`` hook and takes the simulator's ``health`` slot.  The
+cluster reads ``sim.health``: it consults :meth:`routable` when picking
+hosts and :meth:`routing_weight` to reintroduce probation hosts
+gradually; a host entering DRAINING fires its registered drain hook
+(the host drops pool metadata and absorbs pending prewarm boots there).
 
-Strictly opt-in: without ``attach_health`` the cluster never constructs
-a monitor and no pump process exists.
+Strictly opt-in: with the slot empty the cluster routes by its binary
+down-set alone and no pump process exists.
 """
 
 from __future__ import annotations
@@ -65,6 +67,19 @@ class HealthMonitor:
         self._generation = 0
 
     # -- registration ------------------------------------------------------
+    def attach(self, hosts) -> None:
+        """Watch each per-host HotC in ``hosts`` and take the simulator's
+        ``health`` slot.
+
+        A host is tracked under its engine's name, and its
+        ``drain_lost`` runs when the detector drains it.
+        """
+        for host in hosts:
+            self.register_host(
+                host.engine.name, host.engine, on_drain=host.drain_lost
+            )
+        self.sim.health = self
+
     def register_host(
         self,
         name: str,

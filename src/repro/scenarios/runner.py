@@ -191,30 +191,31 @@ class _RoundRobinCold:
 
     def __init__(self, engines) -> None:
         self.providers = [ColdBootProvider(engine) for engine in engines]
-        self._owner: Dict[str, int] = {}
+        #: Provider by engine name: the prefix of its container ids.
+        self._by_host = {
+            provider.engine.name: provider for provider in self.providers
+        }
         self._next = 0
 
     def acquire(self, config):
         """Process: boot a fresh container on the next host."""
         index = self._next
         self._next = (self._next + 1) % len(self.providers)
-        container, cold = yield from self.providers[index].acquire(config)
-        self._owner[container.container_id] = index
-        return container, cold
+        return (yield from self.providers[index].acquire(config))
+
+    def _provider_of(self, container) -> ColdBootProvider:
+        return self._by_host[container.container_id.partition("/")[0]]
 
     def release(self, container):
         """Process: destroy the container on its owning host."""
-        index = self._owner.pop(container.container_id, 0)
-        yield from self.providers[index].release(container)
+        yield from self._provider_of(container).release(container)
 
     def discard(self, container) -> None:
-        """Forget a container that died mid-request."""
-        self._owner.pop(container.container_id, None)
+        """Nothing to forget: the container id names its host."""
 
     def engine_for(self, container) -> ContainerEngine:
         """The engine executing on the container's host."""
-        index = self._owner.get(container.container_id, 0)
-        return self.providers[index].engine
+        return self._provider_of(container).engine
 
 
 def _trace_function_specs(spec: ScenarioSpec) -> List[FunctionSpec]:

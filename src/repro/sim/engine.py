@@ -668,13 +668,14 @@ class Store:
 class Simulator:
     """The simulation kernel: clock + event queue + process spawner.
 
-    It also carries the run-wide service slots ``obs``, ``admission``
-    and ``recovery`` (DESIGN.md §7): a service is attached once, by
-    setting its slot, and never copied onto the components that use it.
+    It also carries the run-wide service slots ``obs``, ``admission``,
+    ``recovery`` and ``health`` (DESIGN.md §7): a service is attached
+    once, by setting its slot, and never copied onto the components that
+    use it.
     """
 
     __slots__ = ("_queue", "_now", "_step_count", "_until", "obs", "admission",
-                 "recovery")
+                 "recovery", "health")
 
     def __init__(self) -> None:
         self._queue = EventQueue()
@@ -690,6 +691,8 @@ class Simulator:
         self.admission = None
         #: The run's :class:`~repro.recovery.RecoveryManager`.
         self.recovery = None
+        #: The run's host :class:`~repro.health.HealthMonitor`.
+        self.health = None
 
     # -- time -------------------------------------------------------------
     @property

@@ -149,13 +149,9 @@ class TraceWorkload:
         self._weight_sum = float(self.weights.sum())
 
     # -- static structure ----------------------------------------------------
-    def tenant_of(self, key_id: int) -> int:
-        """Tenant owning ``key_id`` (contiguous popularity-rank blocks)."""
-        config = self.config
-        return int(key_id) * config.n_tenants // config.n_keys
-
     def tenant_ids(self) -> np.ndarray:
-        """Tenant of every key, as an index-by-key array."""
+        """Tenant of every key (contiguous popularity-rank blocks), as an
+        index-by-key array."""
         config = self.config
         keys = np.arange(config.n_keys, dtype=np.int64)
         return keys * config.n_tenants // config.n_keys

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ClusterHotC, make_cluster_platform
-from repro.containers import ContainerEngine
+from repro.containers import Container, ContainerConfig, ContainerEngine
 from repro.faas import FunctionSpec
 from repro.sim import Simulator
 
@@ -27,6 +27,12 @@ class TestConstruction:
         engine = ContainerEngine(sim, registry, rng=None)
         with pytest.raises(ValueError):
             ClusterHotC([engine], placement="random")
+
+    def test_engines_need_distinct_names(self, registry):
+        sim = Simulator()
+        engines = [ContainerEngine(sim, registry, rng=None) for _ in range(2)]
+        with pytest.raises(ValueError):
+            ClusterHotC(engines)
 
     def test_platform_builds_n_hosts(self, registry):
         platform = make_platform(registry, n_hosts=3)
@@ -85,14 +91,17 @@ class TestBookkeeping:
         platform = make_platform(registry, n_hosts=2)
         platform.submit("fn")
         platform.run()
-        # After release the cluster no longer tracks the container.
+        # The container id names the host, released or not.
         trace = platform.traces.traces[0]
-        assert trace.container_id.startswith("host-")
+        provider = platform.provider
+        (index,) = [i for i, size in enumerate(provider.pool_sizes()) if size]
+        (entry,) = provider.hosts[index].pool.entries()
+        assert entry.container.container_id == trace.container_id
+        assert provider.host_of(entry.container) is provider.hosts[index]
+        assert provider.engine_for(entry.container) is provider.hosts[index].engine
 
     def test_untracked_container_raises(self, registry):
         platform = make_platform(registry, n_hosts=2)
-        from repro.containers import Container, ContainerConfig
-
         ghost = Container("ghost", ContainerConfig(image="python:3.6"), 0.0)
         with pytest.raises(KeyError):
             platform.provider.host_of(ghost)
@@ -164,3 +173,61 @@ class TestReuseCounters:
         assert all(relaxed) and all(repurposed), "a donor stage never engaged"
         assert cluster.stats.relaxed_hits == sum(relaxed)
         assert cluster.stats.repurposes == sum(repurposed)
+
+
+#: Ids that name no host of a 3-host cluster.
+GHOST_IDS = ["ghost", "ghost/c000001", "host-0", "host-3/c000001"]
+
+
+class TestRoutingByContainerId:
+    """The container id's host prefix is the cluster's only routing map."""
+
+    def busy_cluster(self, registry):
+        """Three 30 s requests in flight, one per host, at t = 15 s."""
+        platform = make_cluster_platform(
+            registry, n_hosts=3, seed=0, jitter_sigma=0.0
+        )
+        platform.deploy(FunctionSpec(name="slow", image="python:3.6", exec_ms=30_000))
+        for _ in range(3):
+            platform.submit("slow")
+        platform.run(until=15_000.0)
+        cluster = platform.provider
+        assert [cluster.inflight(i) for i in range(3)] == [1, 1, 1]
+        return platform, cluster
+
+    def test_busy_container_releases_to_its_host_after_recovery(self, registry):
+        platform, cluster = self.busy_cluster(registry)
+        cluster.crash_control_plane()
+        assert [cluster.inflight(i) for i in range(3)] == [0, 0, 0]
+        cluster.recover_from()
+        assert [cluster.inflight(i) for i in range(3)] == [1, 1, 1]
+        platform.run()
+        assert platform.traces.failed_count() == 0
+        for index, host in enumerate(cluster.hosts):
+            assert cluster.inflight(index) == 0
+            (entry,) = host.pool.entries()
+            assert entry.available
+            assert entry.container.container_id.startswith(f"host-{index}/")
+        cluster.check_consistency()
+
+    @pytest.mark.parametrize("container_id", GHOST_IDS)
+    def test_release_of_unknown_host_raises(self, registry, container_id):
+        platform, cluster = self.busy_cluster(registry)
+        ghost = Container(container_id, ContainerConfig(image="python:3.6"), 0.0)
+        with pytest.raises(KeyError):
+            cluster.release(ghost).send(None)
+        assert [cluster.inflight(i) for i in range(3)] == [1, 1, 1]
+
+    @pytest.mark.parametrize("container_id", GHOST_IDS)
+    def test_discard_of_unknown_host_keeps_inflight(self, registry, container_id):
+        platform, cluster = self.busy_cluster(registry)
+        ghost = Container(container_id, ContainerConfig(image="python:3.6"), 0.0)
+        cluster.discard(ghost)
+        assert [cluster.inflight(i) for i in range(3)] == [1, 1, 1]
+
+    def test_consistency_catches_inflight_below_leased(self, registry):
+        platform, cluster = self.busy_cluster(registry)
+        cluster.check_consistency()
+        cluster._inflight[1] = 0
+        with pytest.raises(AssertionError, match="host 1 leases more"):
+            cluster.check_consistency()

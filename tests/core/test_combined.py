@@ -76,7 +76,7 @@ class TestAdaptivePoolController:
         assert AdaptivePoolController().target("nope") == 0
 
     def test_target_is_ceiled_forecast(self):
-        controller = AdaptivePoolController(alpha=0.8, init="first")
+        controller = AdaptivePoolController()
         controller.observe(["k"], [3.0])
         # forecast after one obs == 3.0 -> target 3
         assert controller.target("k") == 3
@@ -100,20 +100,6 @@ class TestAdaptivePoolController:
         controller.observe(["b"], [1.0])
         assert controller.target("a") > controller.target("b")
 
-    def test_relative_errors(self):
-        controller = AdaptivePoolController(alpha=0.8, init="first")
-        controller.observe(["k"], [10.0])  # forecast -> 10
-        controller.observe(["k"], [20.0])  # error vs 10: |10-20|/20 = 0.5
-        errors = controller.relative_errors("k")
-        assert len(errors) == 1
-        assert errors[0] == pytest.approx(0.5)
-
-    def test_relative_error_guard_small_actuals(self):
-        controller = AdaptivePoolController(alpha=0.8, init="first")
-        controller.observe(["k"], [1.0])
-        controller.observe(["k"], [0.0])  # denominator guarded by max(.,1)
-        assert controller.relative_errors("k")[0] == pytest.approx(1.0)
-
 
 class TestMarkovWindowPlumbing:
     def test_default_window_is_bounded(self):
@@ -136,7 +122,8 @@ class TestMarkovWindowPlumbing:
 
     def test_hotc_config_plumbs_window(self):
         from repro.core.hotc import HotCConfig
+        from repro.core.predictor import controller
 
         config = HotCConfig()
         assert config.make_predictor().residual_chain.window == 512
-        assert config.make_controller().window == 512
+        assert controller.WINDOW == 512

@@ -184,7 +184,7 @@ class TestControllerUpperTarget:
     def test_clamped_to_max_target(self):
         from repro.core import AdaptivePoolController
 
-        controller = AdaptivePoolController(quantile=0.99, max_target=10)
+        controller = AdaptivePoolController(max_target=10)
         for value in [8.0, 8.0, 8.0, 900.0] * 6:
             controller.observe(["k"], [value])
         assert controller.target_upper("k") <= 10

@@ -342,8 +342,10 @@ class TestDeadDiscardStats:
 
 class TestHotCConfig:
     def test_default_matches_paper(self):
+        from repro.core.predictor import controller
+
         config = HotCConfig()
-        assert config.make_controller().alpha == 0.8
+        assert controller.ALPHA == 0.8
         assert config.limits.max_containers == 500
         assert config.limits.memory_threshold == 0.8
         assert config.eviction == "oldest"

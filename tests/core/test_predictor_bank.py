@@ -3,19 +3,19 @@
 :class:`AdaptivePoolController` keeps every key's ES + Markov state in
 one structure-of-arrays bank and advances all keys in one batched
 ``observe``.  :class:`CombinedPredictor` is its executable spec: one
-instance per key, built from the same parameters, must give the same
-forecast, targets and donor headroom — compared with ``==``, no
+default instance per key, with the same ``min_history``, must give the
+same forecast, targets and donor headroom — compared with ``==``, no
 tolerance — after every tick of a long random stream.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 import pytest
 
 from repro.core import AdaptivePoolController, CombinedPredictor
+from repro.core.predictor import controller as bank_module
 
 #: ``min_history`` that keeps the Markov correction from ever engaging
 #: (what ``HotCConfig(markov_correction=False)`` passes).
@@ -26,35 +26,16 @@ ES_ONLY = 10**9
 class _Params:
     """One predictor configuration; the defaults are the controller's."""
 
-    alpha: float = 0.8
-    n_states: int = 4
-    init: str = "auto"
     min_history: int = 6
-    markov_window: Optional[int] = 512
-    quantile: float = 0.9
-    horizon: int = 4
     max_target: int = 500
 
     def controller(self) -> AdaptivePoolController:
         return AdaptivePoolController(
-            alpha=self.alpha,
-            n_states=self.n_states,
-            init=self.init,
-            min_history=self.min_history,
-            markov_window=self.markov_window,
-            quantile=self.quantile,
-            horizon=self.horizon,
-            max_target=self.max_target,
+            min_history=self.min_history, max_target=self.max_target
         )
 
     def predictor(self) -> CombinedPredictor:
-        return CombinedPredictor(
-            alpha=self.alpha,
-            n_states=self.n_states,
-            init=self.init,
-            min_history=self.min_history,
-            markov_window=self.markov_window,
-        )
+        return CombinedPredictor(min_history=self.min_history)
 
 
 def _clamped(value, max_target):
@@ -77,7 +58,7 @@ class _Oracle:
             predictor = self.predictors[key] = self.params.predictor()
         forecast = predictor.update(float(demand))
         upper = predictor.forecast_upper(
-            quantile=self.params.quantile, horizon=self.params.horizon
+            quantile=bank_module.QUANTILE, horizon=bank_module.HORIZON
         )
         cap = self.params.max_target
         self.expected[key] = (forecast, _clamped(forecast, cap), _clamped(upper, cap))
@@ -141,16 +122,10 @@ def _drive(
 
 
 @pytest.mark.parametrize("markov_correction", [True, False])
-@pytest.mark.parametrize("init", ["auto", "first", "mean5"])
-@pytest.mark.parametrize("markov_window", [None, 8, 512])
-def test_bank_matches_spec_across_configs(markov_window, init, markov_correction):
-    params = _Params(
-        markov_window=markov_window,
-        init=init,
-        min_history=6 if markov_correction else ES_ONLY,
-    )
-    seed = len(init) * 1000 + (markov_window or 0) + markov_correction
-    _drive(params, ticks=250, n_keys=5, seed=seed)
+def test_bank_matches_spec_across_configs(markov_correction):
+    """The default bank and the ES-only one (``HotCConfig``'s two)."""
+    params = _Params(min_history=6 if markov_correction else ES_ONLY)
+    _drive(params, ticks=250, n_keys=5, seed=4512 + markov_correction)
 
 
 def test_bank_matches_spec_over_ten_thousand_ticks():
@@ -159,23 +134,14 @@ def test_bank_matches_spec_over_ten_thousand_ticks():
     _drive(_Params(), ticks=10_000, n_keys=5, seed=11, presence=0.3)
 
 
-@pytest.mark.parametrize(
-    "quantile, horizon, n_states", [(0.5, 1, 4), (0.99, 6, 3), (1.0, 2, 6)]
-)
-def test_bank_matches_spec_at_other_risk_levels(quantile, horizon, n_states):
-    params = _Params(
-        quantile=quantile,
-        horizon=horizon,
-        n_states=n_states,
-        markov_window=16,
-        max_target=20,
-    )
-    _drive(params, ticks=300, n_keys=5, seed=horizon)
+def test_bank_matches_spec_under_a_low_cap():
+    """Both targets clamp at ``max_target`` (the burst keys reach 40)."""
+    _drive(_Params(max_target=20), ticks=300, n_keys=5, seed=4)
 
 
 def test_histories_match_spec_series():
     """Below the window the histories are the whole series."""
-    params = _Params(markov_window=64)
+    params = _Params()
     rng = random.Random(5)
     bank = params.controller()
     spec = params.predictor()
@@ -191,21 +157,18 @@ def test_histories_match_spec_series():
 
 class TestBoundedHistory:
     def test_history_length_stays_flat(self):
-        bank = AdaptivePoolController(markov_window=32)
+        window = bank_module.WINDOW
+        bank = AdaptivePoolController()
         lengths = set()
         for tick in range(2_000):
             bank.observe(["a", "b"], [tick % 7, 3])
-            if tick >= 32:
+            if tick >= window:
                 lengths.add((len(bank.history("a")), len(bank.forecast_history("b"))))
-        assert lengths == {(32, 32)}
+        assert lengths == {(window, window)}
         # The retained tail is the most recent window, in order.
-        assert bank.history("a") == tuple(float(t % 7) for t in range(1_968, 2_000))
-
-    def test_unbounded_window_keeps_everything(self):
-        bank = AdaptivePoolController(markov_window=None)
-        for tick in range(600):
-            bank.observe(["a"], [tick % 5])
-        assert len(bank.history("a")) == 600
+        assert bank.history("a") == tuple(
+            float(t % 7) for t in range(2_000 - window, 2_000)
+        )
 
 
 class TestObserveValidation:
@@ -223,19 +186,7 @@ class TestObserveValidation:
         assert bank.known_keys() == ()
         assert bank.observe([], []) == []
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"alpha": 1.0},
-            {"init": "median"},
-            {"n_states": 1},
-            {"n_states": 128},
-            {"min_history": 1},
-            {"markov_window": 1},
-            {"quantile": 0.0},
-            {"horizon": 0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"min_history": 1}, {"max_target": -1}])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             AdaptivePoolController(**kwargs)

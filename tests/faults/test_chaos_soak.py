@@ -19,6 +19,7 @@ from repro.core import HotC, HotCConfig, PoolLimits, make_cluster_platform
 from repro.faas import FaasPlatform
 from repro.faults import FaultPlan
 from repro.sim.rng import derive_seed
+from tests.cluster_checks import assert_no_requests_held
 
 SEEDS = [1, 2, 3, 4, 5]
 DURATION_MS = 60_000.0
@@ -211,8 +212,7 @@ class TestClusterChaos:
 
         assert len(platform.traces) == 250
         assert_quiescent(platform, cluster.hosts, provider=cluster)
-        assert sum(cluster._inflight.values()) == 0
-        assert cluster._by_container == {}
+        assert_no_requests_held(cluster)
         for host in cluster.hosts:
             assert host.engine.live_count == 0
         if cluster.stats.hosts_lost:

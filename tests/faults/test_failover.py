@@ -9,6 +9,7 @@ from repro.faults import (
     RuntimeUnavailableError,
     ScheduledFault,
 )
+from tests.cluster_checks import assert_no_requests_held
 
 
 def make_cluster(registry, n_hosts=3, **kwargs):
@@ -124,8 +125,7 @@ class TestFailover:
         platform.run()
         trace = platform.traces.traces[0]
         assert trace.outcome.value in ("retried", "success")
-        assert sum(cluster._inflight.values()) == 0
-        assert cluster._by_container == {}
+        assert_no_requests_held(cluster)
         for host in cluster.hosts:
             host.pool.check_consistency()
 

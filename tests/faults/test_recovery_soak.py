@@ -26,6 +26,7 @@ from repro.faults import FaultPlan
 from repro.health import HealthMonitor
 from repro.recovery import RecoveryConfig, RecoveryManager
 from repro.sim.rng import derive_seed
+from tests.cluster_checks import assert_no_requests_held
 
 SEEDS = [1, 2, 3, 4, 5]
 DURATION_MS = 60_000.0
@@ -115,7 +116,7 @@ def build(registry, fn_python, fn_go, seed):
     cluster = platform.provider
     platform.attach_admission(AdmissionController(admission_config()))
     monitor = HealthMonitor(platform.sim)
-    cluster.attach_health(monitor)
+    monitor.attach(cluster.hosts)
     manager = RecoveryManager(
         cluster, RecoveryConfig(checkpoint_every_ticks=3)
     )
@@ -172,8 +173,7 @@ class TestRecoverySoak:
 
         # No leaked busy slots or dangling routing state.
         assert outstanding == set()
-        assert sum(cluster._inflight.values()) == 0
-        assert cluster._by_container == {}
+        assert_no_requests_held(cluster)
         for host in cluster.hosts:
             assert all(s.busy == 0 for s in host._keys.values()), (
                 f"{host.engine.name}: busy leak"

@@ -18,6 +18,7 @@ from repro.core import HotCConfig, KeyPolicy, PoolLimits, make_cluster_platform
 from repro.faas import FunctionSpec
 from repro.faults import FaultPlan
 from repro.sim.rng import derive_seed
+from tests.cluster_checks import assert_no_requests_held
 
 SEEDS = [1, 2, 3, 4, 5]
 DURATION_MS = 60_000.0
@@ -224,8 +225,7 @@ class TestRepurposeChaos:
         assert len(platform.traces) == N_REQUESTS
         assert_quiescent(platform, cluster.hosts)
         cluster.check_consistency()
-        assert sum(cluster._inflight.values()) == 0
-        assert cluster._by_container == {}
+        assert_no_requests_held(cluster)
         assert claimed == {}, f"claims leaked past shutdown: {claimed}"
         assert plan.stats.total > 0, "the storm injected nothing"
         repurposed = sum(h.pool.stats.repurposed for h in cluster.hosts)

@@ -17,12 +17,22 @@ def make_cluster(registry, n_hosts=2, **kwargs):
     )
     cluster = platform.provider
     monitor = HealthMonitor(platform.sim)
-    cluster.attach_health(monitor)
+    monitor.attach(cluster.hosts)
     monitor.start()
     injectors = FaultPlan.none().install(
         platform.sim, [host.engine for host in cluster.hosts]
     )
     return platform, cluster, monitor, injectors
+
+
+class TestAttach:
+    def test_attach_registers_hosts_and_takes_the_slot(self, registry):
+        platform, cluster, monitor, injectors = make_cluster(registry)
+        assert platform.sim.health is monitor
+        assert sorted(monitor.hosts) == ["host-0", "host-1"]
+        for host in cluster.hosts:
+            assert monitor.hosts[host.engine.name].engine is host.engine
+            assert monitor._on_drain[host.engine.name] == host.drain_lost
 
 
 class TestRouting:

@@ -8,6 +8,7 @@ from repro.faas import FaasPlatform
 from repro.faults import RuntimeUnavailableError
 from repro.recovery import RecoveryConfig, RecoveryManager, RepairKind
 from repro.obs import Observatory
+from tests.cluster_checks import assert_no_requests_held
 
 
 def make_platform(registry, config=None, **kwargs):
@@ -239,8 +240,7 @@ class TestClusterRecovery:
         platform.run()
         assert platform.traces.traces[0].outcome.value == "success"
         cluster.check_consistency()
-        assert sum(cluster._inflight.values()) == 0
-        assert cluster._by_container == {}
+        assert_no_requests_held(cluster)
 
     @pytest.mark.parametrize(
         "manager_first", [False, True], ids=["adm-first", "mgr-first"]
