@@ -56,6 +56,9 @@ class TestGoldenEventOrder:
     def test_leaky_day_report_matches_golden(self):
         check_golden("leaky_day", scenarios.scenario_leaky_day())
 
+    def test_run_report_matches_golden(self):
+        check_golden("run_report", scenarios.scenario_run_report())
+
 
 class TestEngineSelfConsistency:
     """Invariants that hold regardless of golden freshness."""
