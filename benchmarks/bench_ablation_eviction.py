@@ -4,10 +4,13 @@ The paper evicts the *oldest* live container.  With a skewed workload
 (one hot runtime type, several cold ones) and a pool cap forcing
 evictions, LRU should protect the hot type best, oldest-first is the
 paper's simple default, and largest-first optimises memory rather than
-hit ratio.
+hit ratio.  The strategy is HotC's ``EVICTION`` constant, patched for
+each arm.
 """
 
+from unittest import mock
 
+from repro.core import hotc
 from repro.core.hotc import HotC, HotCConfig
 from repro.core.pool import PoolLimits
 from repro.faas.platform import FaasPlatform
@@ -16,16 +19,15 @@ from repro.workloads.apps import default_catalog
 
 
 def run_strategy(eviction: str, seed: int = 0):
-    config = HotCConfig(
-        limits=PoolLimits(max_containers=3), eviction=eviction
-    )
+    config = HotCConfig(limits=PoolLimits(max_containers=3))
     catalog = default_catalog()
-    platform = FaasPlatform(
-        catalog.make_registry(),
-        seed=seed,
-        provider_factory=lambda engine: HotC(engine, config),
-        jitter_sigma=0.0,
-    )
+    with mock.patch.object(hotc, "EVICTION", eviction):
+        platform = FaasPlatform(
+            catalog.make_registry(),
+            seed=seed,
+            provider_factory=lambda engine: HotC(engine, config),
+            jitter_sigma=0.0,
+        )
     hot = FunctionSpec(name="hot", image="python:3.6", exec_ms=10)
     platform.deploy(hot)
     for index in range(4):

@@ -21,10 +21,10 @@ ROUND_MS = 30_000.0
 
 
 def run_variant(markov: bool, prewarm: bool, seed: int = 0):
+    # The reuse-only arm runs no control loop, so nothing pre-boots.
     config = HotCConfig(
         control_interval_ms=ROUND_MS if prewarm else 0.0,
         markov_correction=markov,
-        prewarm=prewarm,
     )
     catalog = default_catalog()
     platform = FaasPlatform(

@@ -52,6 +52,8 @@ REASON_SHUTDOWN = "shutdown"
 
 #: Factor HotC applies to predictor pool targets while browned out.
 BROWNOUT_TARGET_FACTOR = 0.5
+#: Brownout hysteresis: a host exits only below ``threshold - margin``.
+BROWNOUT_EXIT_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -65,16 +67,12 @@ class AdmissionConfig:
     #: Relative deadline applied when the function spec does not set
     #: one; ``None`` leaves such requests deadline-free.
     default_deadline_ms: Optional[float] = 30_000.0
-    #: Brownout hysteresis: exit only below ``threshold - margin``.
-    brownout_exit_margin: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must be >= 0")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be > 0 (or None)")
-        if not 0.0 <= self.brownout_exit_margin < 1.0:
-            raise ValueError("brownout_exit_margin must be in [0, 1)")
 
 
 @dataclass
@@ -182,7 +180,7 @@ class AdmissionController:
 
         Called by the host's control tick.  The machine is created on
         the host's first reading, entering at its memory ``threshold``
-        and exiting only below ``threshold - brownout_exit_margin`` so
+        and exiting only below ``threshold - BROWNOUT_EXIT_MARGIN`` so
         the mode cannot flap around the threshold.  A transition updates
         the shed set and records the BROWNOUT_ENTER/EXIT event.
         """
@@ -190,7 +188,7 @@ class AdmissionController:
         if brownout is None:
             brownout = self._brownouts[host] = BrownoutController(
                 enter_threshold=threshold,
-                exit_margin=self.config.brownout_exit_margin,
+                exit_margin=BROWNOUT_EXIT_MARGIN,
             )
         transition = brownout.update(mem_fraction, cap_tripped)
         if not transition:

@@ -243,6 +243,8 @@ class ClusterHotC(RuntimeProvider):
                 f"no routable host left ({len(self.hosts)} total, "
                 f"{len(self._down)} down, {len(excluded)} failed)"
             )
+        # The hosts share one HotCConfig, hence one key policy.
+        key = self.hosts[0].key_of(config)
         if self.placement == "round-robin":
             # Advance past unroutable hosts; with all hosts healthy this
             # is the plain one-step advance.
@@ -251,15 +253,13 @@ class ClusterHotC(RuntimeProvider):
                 self._rr_next += 1
                 if index in candidates:
                     break
-            key = self.hosts[index].key_of(config)
             return index, self.hosts[index].pool.num_available(key) > 0
 
-        warm_hosts = []
-        for index in candidates:
-            host = self.hosts[index]
-            key = host.key_of(config)
-            if host.pool.num_available(key) > 0:
-                warm_hosts.append(index)
+        warm_hosts = [
+            index
+            for index in candidates
+            if self.hosts[index].pool.num_available(key) > 0
+        ]
         if warm_hosts:
             return min(warm_hosts, key=self._load_key), True
         return min(candidates, key=self._load_key), False

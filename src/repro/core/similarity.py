@@ -24,6 +24,15 @@ from repro.containers.image import shared_layer_prefix
 
 __all__ = ["KeySimilarityModel"]
 
+#: Weights of the image, network and memory affinities in the score
+#: (they sum to 1).
+IMAGE_WEIGHT = 0.6
+NETWORK_WEIGHT = 0.25
+MEMORY_WEIGHT = 0.15
+#: Cold-boot fractions a re-spec costs at score 1 and at score 0.
+MIN_FRACTION = 0.08
+MAX_FRACTION = 0.85
+
 
 class KeySimilarityModel:
     """Scores config pairs and prices the re-spec of a donor container.
@@ -42,31 +51,13 @@ class KeySimilarityModel:
       cheap, but a large delta signals a very different workload class.
 
     ``respec_fraction`` maps the score linearly onto
-    ``[min_fraction, max_fraction]`` of the cold boot: a perfect donor
-    still pays ``min_fraction`` (config delta + code injection + app
-    re-init), a barely-acceptable one approaches ``max_fraction``.
+    ``[MIN_FRACTION, MAX_FRACTION]`` of the cold boot: a perfect donor
+    still pays ``MIN_FRACTION`` (config delta + code injection + app
+    re-init), a barely-acceptable one approaches ``MAX_FRACTION``.
     """
 
-    def __init__(
-        self,
-        registry=None,
-        image_weight: float = 0.6,
-        network_weight: float = 0.25,
-        memory_weight: float = 0.15,
-        min_fraction: float = 0.08,
-        max_fraction: float = 0.85,
-    ) -> None:
-        total = image_weight + network_weight + memory_weight
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        if not 0 < min_fraction <= max_fraction <= 1:
-            raise ValueError("need 0 < min_fraction <= max_fraction <= 1")
+    def __init__(self, registry=None) -> None:
         self.registry = registry
-        self.image_weight = image_weight / total
-        self.network_weight = network_weight / total
-        self.memory_weight = memory_weight / total
-        self.min_fraction = min_fraction
-        self.max_fraction = max_fraction
         self._image_affinity: Dict[Tuple[str, str], float] = {}
 
     # -- component affinities ---------------------------------------------
@@ -108,19 +99,17 @@ class KeySimilarityModel:
     def score(self, donor: ContainerConfig, target: ContainerConfig) -> float:
         """Similarity of a donor config to the requested one, in [0, 1]."""
         return (
-            self.image_weight * self.image_affinity(donor.image, target.image)
-            + self.network_weight
+            IMAGE_WEIGHT * self.image_affinity(donor.image, target.image)
+            + NETWORK_WEIGHT
             * (1.0 if donor.network.mode == target.network.mode else 0.0)
-            + self.memory_weight
-            * self.memory_affinity(donor.mem_mb, target.mem_mb)
+            + MEMORY_WEIGHT * self.memory_affinity(donor.mem_mb, target.mem_mb)
         )
 
     def respec_fraction(self, score: float) -> float:
         """Cold-boot fraction charged to re-spec a donor of ``score``."""
         if not 0 <= score <= 1:
             raise ValueError("score must be in [0, 1]")
-        span = self.max_fraction - self.min_fraction
-        return self.min_fraction + span * (1.0 - score)
+        return MIN_FRACTION + (MAX_FRACTION - MIN_FRACTION) * (1.0 - score)
 
     def respec_cost_ms(
         self, score: float, cold_boot_ms: float

@@ -35,15 +35,12 @@ class Gateway:
         engine: ContainerEngine,
         provider,
         concurrency: int = 1024,
-        request_retries: int = 1,
     ) -> None:
         if concurrency < 1:
             raise ValueError("gateway concurrency must be >= 1")
         self.sim = sim
         self.engine = engine
-        self.watchdog = Watchdog(
-            sim, engine, provider, max_retries=request_retries
-        )
+        self.watchdog = Watchdog(sim, engine, provider)
         self._slots = sim.resource(concurrency, name="gateway")
         self.inflight_peak = 0
         self.queue_depth_peak = 0

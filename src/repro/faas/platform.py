@@ -120,7 +120,6 @@ class FaasPlatform:
         jitter_sigma: float = 0.06,
         gateway_concurrency: int = 1024,
         gateway_instances: int = 1,
-        request_retries: int = 1,
     ) -> None:
         if gateway_instances < 1:
             raise ValueError("gateway_instances must be >= 1")
@@ -146,7 +145,6 @@ class FaasPlatform:
                 self.engine,
                 self.provider,
                 concurrency=gateway_concurrency,
-                request_retries=request_retries,
             )
             for _ in range(gateway_instances)
         ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Generator
-
 import numpy as np
 
 from repro.containers.engine import ContainerEngine
@@ -24,35 +22,23 @@ class ResourceMonitor:
             raise ValueError("period_ms must be positive")
         self.engine = engine
         self.period_ms = period_ms
-        self._running = False
-        self._generation = 0
+        #: The sampling loop's handle while it runs.
+        self._loop = None
 
     def start(self) -> None:
-        """Begin sampling; takes an immediate first sample. Idempotent.
-
-        A stop/start cycle bumps the generation counter so a stale loop
-        still pending its next sample exits instead of doubling the
-        sampling rate.
-        """
-        if self._running:
+        """Begin sampling; takes an immediate first sample. Idempotent."""
+        if self._loop is not None:
             return
-        self._running = True
-        self._generation += 1
         self.engine.sample_resources()
-        self.engine.sim.process(
-            self._loop(self._generation), name="resource-monitor"
+        self._loop = self.engine.sim.every(
+            self.period_ms, self.engine.sample_resources, "resource-monitor"
         )
 
     def stop(self) -> None:
-        """Stop after the pending sample."""
-        self._running = False
-
-    def _loop(self, generation: int) -> Generator:
-        while self._running and generation == self._generation:
-            yield self.period_ms
-            if not self._running or generation != self._generation:
-                break
-            self.engine.sample_resources()
+        """Stop; the pending sample is not taken."""
+        if self._loop is not None:
+            self._loop.stop()
+            self._loop = None
 
     # -- series accessors ---------------------------------------------------
     @property

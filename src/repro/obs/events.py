@@ -33,6 +33,9 @@ from repro.obs.registry import MetricsRegistry
 
 __all__ = ["EventKind", "EventLog", "ObsEvent", "Observatory"]
 
+#: Events an :class:`EventLog` keeps before it displaces the oldest.
+EVENT_CAPACITY = 65_536
+
 
 class EventKind(enum.Enum):
     """The event taxonomy (DESIGN.md §7)."""
@@ -132,16 +135,13 @@ class ObsEvent:
 class EventLog:
     """Bounded, append-only ring of :class:`ObsEvent`.
 
-    Appending past ``capacity`` displaces the oldest event; ``dropped``
+    Appending past ``EVENT_CAPACITY`` displaces the oldest event; ``dropped``
     counts the displaced so exporters can flag truncation explicitly
     instead of silently presenting a partial log as complete.
     """
 
-    def __init__(self, capacity: int = 65_536) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._events: Deque[ObsEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._events: Deque[ObsEvent] = deque(maxlen=EVENT_CAPACITY)
         self._appended = 0
 
     def append(self, event: ObsEvent) -> None:
@@ -188,9 +188,9 @@ class Observatory:
     hook sites stamp.
     """
 
-    def __init__(self, event_capacity: int = 65_536) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.events = EventLog(capacity=event_capacity)
+        self.events = EventLog()
 
     def emit(
         self,

@@ -9,7 +9,8 @@ writes into an output directory:
 * ``snapshots.jsonl`` — the snapshotter's time series (when one ran),
 * ``trace.json`` — Chrome trace-event JSON (Perfetto-loadable),
 * ``accuracy.txt`` / ``accuracy.json`` — the per-key forecast-accuracy
-  table (rolling and overall MAE / sMAPE of the ES+Markov predictor),
+  table (MAE / sMAPE of the ES+Markov predictor over the bank's last
+  ``WINDOW`` (512) ticks, and over a shorter rolling tail),
 * ``summary.json`` — headline numbers (request counts by outcome,
   latency mean/p99 from the obs histograms, event totals).
 """
@@ -33,11 +34,14 @@ def prediction_accuracy_table(
     """Per-key forecast accuracy of an :class:`AdaptivePoolController`.
 
     ``forecast_history[i]`` predicts ``history[i+1]``, so each key's
-    paired series is ``(history[1:], forecast_history[:-1])``.  Rows
-    report overall MAE / sMAPE over the whole run and rolling values
-    over the last ``window`` pairs (the number the control loop is
-    currently living with).  Keys with fewer than two observations have
-    no pairs and report ``None``.
+    paired series is ``(history[1:], forecast_history[:-1])``.  The
+    bank keeps only each key's last
+    :data:`~repro.core.predictor.controller.WINDOW` (512) observations,
+    so the ``mae``/``smape`` columns cover the whole run only while it
+    has at most that many ticks; past it they cover the last 512.  The
+    rolling values cover the last ``window`` pairs (the number the
+    control loop is currently living with).  Keys with fewer than two
+    observations have no pairs and report ``None``.
     """
     # Imported lazily: repro.metrics pulls in the container engine (for
     # ResourceMonitor), which itself imports repro.obs for its hooks.

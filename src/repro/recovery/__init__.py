@@ -28,7 +28,6 @@ from repro.recovery.checkpoint import (
     PoolEntrySnapshot,
 )
 from repro.recovery.manager import (
-    RecoveryConfig,
     RecoveryManager,
     RepairEvent,
     RepairKind,
@@ -39,7 +38,6 @@ __all__ = [
     "CheckpointStore",
     "HostCheckpoint",
     "PoolEntrySnapshot",
-    "RecoveryConfig",
     "RecoveryManager",
     "RepairEvent",
     "RepairKind",

@@ -5,7 +5,7 @@
 :class:`~repro.core.cluster.ClusterHotC`) and owns the crash/recover
 protocol:
 
-* **checkpoint** — every ``checkpoint_every_ticks`` control ticks the
+* **checkpoint** — every ``CHECKPOINT_EVERY_TICKS`` control ticks the
   provider's recoverable state is snapshotted into a versioned,
   bounded :class:`~repro.recovery.checkpoint.CheckpointStore`.
 * **crash** — the provider forgets all indexed control-plane state
@@ -45,10 +45,12 @@ from typing import List, Optional
 from repro.obs.events import EventKind
 from repro.recovery.checkpoint import Checkpoint, CheckpointStore
 
-__all__ = ["RecoveryConfig", "RecoveryManager", "RepairEvent", "RepairKind"]
+__all__ = ["RecoveryManager", "RepairEvent", "RepairKind"]
 
 #: Retained checkpoint versions (older ones age out).
 KEEP_CHECKPOINTS = 3
+#: Take a checkpoint every this many control ticks.
+CHECKPOINT_EVERY_TICKS = 5
 
 
 class RepairKind(enum.Enum):
@@ -80,18 +82,6 @@ class RepairEvent:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Tunables of the recovery manager."""
-
-    #: Take a checkpoint every this many control ticks.
-    checkpoint_every_ticks: int = 5
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every_ticks < 1:
-            raise ValueError("checkpoint_every_ticks must be >= 1")
-
-
 @dataclass
 class RecoveryStats:
     """Counters the recovery soak asserts over."""
@@ -109,10 +99,9 @@ class RecoveryStats:
 class RecoveryManager:
     """Checkpoints, crash/recover, and background consistency audits."""
 
-    def __init__(self, provider, config: Optional[RecoveryConfig] = None) -> None:
+    def __init__(self, provider) -> None:
         self.provider = provider
         self.sim = provider.sim
-        self.config = config or RecoveryConfig()
         self.store = CheckpointStore(keep=KEEP_CHECKPOINTS)
         self.stats = RecoveryStats()
         #: Every repair ever performed, in order.
@@ -132,7 +121,7 @@ class RecoveryManager:
 
     # -- control-tick hook -------------------------------------------------
     def on_control_tick(self, now: float) -> None:
-        """Audit every tick; checkpoint on the configured cadence.
+        """Audit every tick; checkpoint every ``CHECKPOINT_EVERY_TICKS``.
 
         Cluster hosts share one control tick timestamp, so calls at the
         same sim instant collapse into one.
@@ -144,7 +133,7 @@ class RecoveryManager:
         self._last_tick_at = now
         self._ticks += 1
         self.audit()
-        if self._ticks % self.config.checkpoint_every_ticks == 0:
+        if self._ticks % CHECKPOINT_EVERY_TICKS == 0:
             self.checkpoint(now)
 
     def audit(self) -> None:

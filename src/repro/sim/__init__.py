@@ -15,6 +15,7 @@ from repro.sim.engine import (
     AllOf,
     AnyOf,
     Interrupt,
+    Periodic,
     Process,
     Resource,
     Simulator,
@@ -31,6 +32,7 @@ __all__ = [
     "EventQueue",
     "HostResources",
     "Interrupt",
+    "Periodic",
     "Process",
     "Resource",
     "ResourceSample",

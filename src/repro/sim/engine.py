@@ -44,6 +44,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
+    "Periodic",
     "Process",
     "Resource",
     "Simulator",
@@ -665,6 +666,19 @@ class Store:
         return event
 
 
+class Periodic:
+    """Handle of a :meth:`Simulator.every` loop."""
+
+    __slots__ = ("stopped",)
+
+    def __init__(self) -> None:
+        self.stopped = False
+
+    def stop(self) -> None:
+        """End the loop: its pending wake exits without ticking."""
+        self.stopped = True
+
+
 class Simulator:
     """The simulation kernel: clock + event queue + process spawner.
 
@@ -717,6 +731,29 @@ class Simulator:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Spawn a process from ``generator`` starting at the current time."""
         return Process(self, generator, name=name)
+
+    def every(
+        self, period_ms: float, tick: Callable[[], None], name: str = ""
+    ) -> Periodic:
+        """Call ``tick()`` every ``period_ms`` ms, first one period from now.
+
+        The loop is a process named ``name``.  Each call starts a loop of
+        its own with its own handle, so a stopped loop still waiting on
+        its wake exits without ticking, even beside a restarted one.
+        """
+        if not 0.0 < period_ms < _INF:
+            raise ValueError(f"period_ms must be finite and > 0, got {period_ms}")
+        handle = Periodic()
+
+        def loop() -> Generator:
+            while not handle.stopped:
+                yield period_ms
+                if handle.stopped:
+                    break
+                tick()
+
+        self.process(loop(), name=name)
+        return handle
 
     def resource(self, capacity: int, name: str = "") -> Resource:
         """Create a counting-semaphore resource."""

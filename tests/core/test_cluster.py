@@ -131,7 +131,7 @@ class TestBookkeeping:
         provider.stop_control_loops()
         platform.run(until=10_000)
         for host in provider.hosts:
-            assert not host._control_running
+            assert host._control is None
 
 
 class TestReuseCounters:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import HotC, HotCConfig, PoolLimits
+from repro.core import hotc as hotc_module
 from repro.faas import FaasPlatform
 
 
@@ -210,8 +211,11 @@ class TestAdaptiveControl:
         platform.run()
         assert platform.traces.cold_count() == 1
 
-    def test_prewarm_disabled_never_boots_extra(self, registry, fn_python):
-        config = HotCConfig(prewarm=False, control_interval_ms=0)
+    def test_prewarm_disabled_never_boots_extra(
+        self, registry, fn_python, monkeypatch
+    ):
+        monkeypatch.setattr(hotc_module, "PREWARM", False)
+        config = HotCConfig(control_interval_ms=0)
         platform = make_platform(registry, config)
         platform.deploy(fn_python)
         provider = platform.provider
@@ -341,14 +345,14 @@ class TestDeadDiscardStats:
 
 
 class TestHotCConfig:
-    def test_default_matches_paper(self):
+    def test_default_matches_paper(self, registry):
         from repro.core.predictor import controller
 
         config = HotCConfig()
         assert controller.ALPHA == 0.8
         assert config.limits.max_containers == 500
         assert config.limits.memory_threshold == 0.8
-        assert config.eviction == "oldest"
+        assert make_platform(registry).provider.pool.eviction == "oldest"
 
     def test_markov_correction_flag(self):
         es_only = HotCConfig(markov_correction=False).make_predictor()

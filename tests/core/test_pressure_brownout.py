@@ -116,9 +116,7 @@ class TestHotCBrownout:
         config = HotCConfig(limits=PoolLimits(memory_threshold=0.8))
         platform = make_platform(registry, config)
         platform.deploy(fn_python)
-        ctrl = AdmissionController(
-            AdmissionConfig(brownout_exit_margin=0.05)
-        )
+        ctrl = AdmissionController(AdmissionConfig())
         platform.attach_admission(ctrl)
         frac = FractionHolder(0.0)
         monkeypatch.setattr(
@@ -231,9 +229,7 @@ class TestClusterBrownoutIsPerHost:
             registry, n_hosts=2, seed=0, jitter_sigma=0.0, hotc_config=config
         )
         platform.deploy(fn_python)
-        ctrl = AdmissionController(
-            AdmissionConfig(brownout_exit_margin=0.05)
-        )
+        ctrl = AdmissionController(AdmissionConfig())
         platform.attach_admission(ctrl)
         obs = Observatory()
         platform.sim.obs = obs

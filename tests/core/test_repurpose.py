@@ -20,6 +20,7 @@ from repro.containers import (
     shared_layer_prefix,
 )
 from repro.core import HotC, HotCConfig, KeySimilarityModel, runtime_key
+from repro.core import similarity
 from repro.core.keys import KeyPolicy
 from repro.faas import FaasPlatform, FunctionSpec
 from repro.obs import Observatory, chrome_trace
@@ -140,26 +141,22 @@ class TestSimilarityModel:
         assert affinity(0.0, 0.0) == 1.0
         assert affinity(64.0, 128.0) == pytest.approx(0.5)
 
-    def test_respec_fraction_maps_score_linearly(self):
-        model = KeySimilarityModel(min_fraction=0.1, max_fraction=0.9)
+    def test_respec_fraction_maps_score_linearly(self, monkeypatch):
+        monkeypatch.setattr(similarity, "MIN_FRACTION", 0.1)
+        monkeypatch.setattr(similarity, "MAX_FRACTION", 0.9)
+        model = KeySimilarityModel()
         assert model.respec_fraction(1.0) == pytest.approx(0.1)
         assert model.respec_fraction(0.0) == pytest.approx(0.9)
         assert model.respec_fraction(0.5) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             model.respec_fraction(1.5)
 
-    def test_respec_cost_none_when_not_beating_cold(self):
-        model = KeySimilarityModel(min_fraction=0.5, max_fraction=1.0)
+    def test_respec_cost_none_when_not_beating_cold(self, monkeypatch):
+        monkeypatch.setattr(similarity, "MIN_FRACTION", 0.5)
+        monkeypatch.setattr(similarity, "MAX_FRACTION", 1.0)
+        model = KeySimilarityModel()
         assert model.respec_cost_ms(0.0, 100.0) is None
         assert model.respec_cost_ms(1.0, 100.0) == pytest.approx(50.0)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError, match="weights"):
-            KeySimilarityModel(image_weight=0, network_weight=0, memory_weight=0)
-        with pytest.raises(ValueError, match="min_fraction"):
-            KeySimilarityModel(min_fraction=0.9, max_fraction=0.5)
-        with pytest.raises(ValueError, match="min_fraction"):
-            KeySimilarityModel(min_fraction=0.0)
 
 
 class TestRepurpose:

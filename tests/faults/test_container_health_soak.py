@@ -37,16 +37,20 @@ def rss_limit(monkeypatch):
     monkeypatch.setattr(health_module, "RSS_LIMIT_MB", 128.0)
 
 
+@pytest.fixture(autouse=True)
+def recycle_pacing(monkeypatch):
+    """Recycle after 45 s of age, paced at the soak's own token bucket."""
+    monkeypatch.setattr(health_module, "MAX_AGE_MS", 45_000.0)
+    monkeypatch.setattr(health_module, "RECYCLE_RATE_PER_S", RECYCLE_RATE_PER_S)
+    monkeypatch.setattr(health_module, "RECYCLE_BURST", RECYCLE_BURST)
+
+
 def hotc_config():
     return HotCConfig(
         control_interval_ms=1_000.0,
         limits=PoolLimits(max_containers=12),
         container_health=ContainerHealthConfig(
-            max_reuses=10,
-            max_age_ms=45_000.0,
-            leak_slope_mb=6.0,
-            recycle_rate_per_s=RECYCLE_RATE_PER_S,
-            recycle_burst=RECYCLE_BURST,
+            max_reuses=10, leak_slope_mb=6.0
         ),
     )
 

@@ -24,7 +24,8 @@ from repro.admission import aimd
 from repro.core import HotCConfig, PoolLimits, make_cluster_platform
 from repro.faults import FaultPlan
 from repro.health import HealthMonitor
-from repro.recovery import RecoveryConfig, RecoveryManager
+from repro.recovery import RecoveryManager
+from repro.recovery import manager as recovery_manager
 from repro.sim.rng import derive_seed
 from tests.cluster_checks import assert_no_requests_held
 
@@ -45,6 +46,12 @@ def hotc_config():
 def aimd_ceiling(monkeypatch):
     """Cap every AIMD limit at 32 (the default ceiling is 1,024)."""
     monkeypatch.setattr(aimd, "MAX_LIMIT", 32.0)
+
+
+@pytest.fixture(autouse=True)
+def checkpoint_cadence(monkeypatch):
+    """Checkpoint every third control tick (the default is every fifth)."""
+    monkeypatch.setattr(recovery_manager, "CHECKPOINT_EVERY_TICKS", 3)
 
 
 def admission_config():
@@ -117,9 +124,7 @@ def build(registry, fn_python, fn_go, seed):
     platform.attach_admission(AdmissionController(admission_config()))
     monitor = HealthMonitor(platform.sim)
     monitor.attach(cluster.hosts)
-    manager = RecoveryManager(
-        cluster, RecoveryConfig(checkpoint_every_ticks=3)
-    )
+    manager = RecoveryManager(cluster)
     return platform, cluster, monitor, manager
 
 

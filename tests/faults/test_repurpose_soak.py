@@ -15,6 +15,7 @@ import pytest
 
 from repro.containers import Registry, derive_image, make_base_image
 from repro.core import HotCConfig, KeyPolicy, PoolLimits, make_cluster_platform
+from repro.core import hotc as hotc_module
 from repro.faas import FunctionSpec
 from repro.faults import FaultPlan
 from repro.sim.rng import derive_seed
@@ -53,17 +54,21 @@ def build_registry_and_functions():
     return Registry(images), specs
 
 
+@pytest.fixture(autouse=True)
+def no_prewarm(monkeypatch):
+    """Prewarm off: the controller's scale-down otherwise pins every
+    key's pool at exactly its forecast need, leaving no donation
+    headroom — this soak wants idle donors to accumulate so the
+    repurpose claim window actually races the fault storm.  The
+    control loop still runs: its observations drive the donor veto."""
+    monkeypatch.setattr(hotc_module, "PREWARM", False)
+
+
 def hotc_config():
-    # prewarm off: the controller's scale-down otherwise pins every
-    # key's pool at exactly its forecast need, leaving no donation
-    # headroom — this soak wants idle donors to accumulate so the
-    # repurpose claim window actually races the fault storm.  The
-    # control loop still runs: its observations drive the donor veto.
     return HotCConfig(
         control_interval_ms=1_000.0,
         limits=PoolLimits(max_containers=12),
         fallback_key_policy=KeyPolicy.RELAXED,
-        prewarm=False,
         repurpose=True,
     )
 

@@ -1,10 +1,12 @@
 """HotC's hardened boot path: retry, backoff, hedging, breaker, drain."""
 
+import pytest
 
 from repro.containers import ContainerError
 from repro.core import HotC, HotCConfig
 from repro.core.hotc import BOOT_BACKOFF_BASE_MS, BOOT_BACKOFF_JITTER
 from repro.faas import FaasPlatform, RequestOutcome
+from repro.faas import watchdog
 from repro.faults import FaultInjector
 
 
@@ -64,9 +66,12 @@ class TestBootRetry:
         # The first retry waits the base backoff, less at most the jitter.
         assert retried >= baseline + BOOT_BACKOFF_BASE_MS * (1 - BOOT_BACKOFF_JITTER)
 
-    def test_retries_exhausted_fails_the_request(self, registry, fn_python):
+    def test_retries_exhausted_fails_the_request(
+        self, registry, fn_python, monkeypatch
+    ):
+        monkeypatch.setattr(watchdog, "REQUEST_RETRIES", 0)
         config = HotCConfig(control_interval_ms=0, breaker_threshold=0)
-        platform, injector = make_platform(registry, config, request_retries=0)
+        platform, injector = make_platform(registry, config)
         platform.deploy(fn_python)
         injector.fail_next_boots(10)
         platform.submit(fn_python.name)
@@ -140,6 +145,10 @@ class TestHedgedBoot:
 
 
 class TestBreakerIntegration:
+    @pytest.fixture(autouse=True)
+    def no_request_retries(self, monkeypatch):
+        monkeypatch.setattr(watchdog, "REQUEST_RETRIES", 0)
+
     def _config(self):
         return HotCConfig(
             control_interval_ms=0,
@@ -147,9 +156,7 @@ class TestBreakerIntegration:
         )
 
     def test_breaker_opens_and_fails_fast(self, registry, fn_python):
-        platform, injector = make_platform(
-            registry, self._config(), request_retries=0
-        )
+        platform, injector = make_platform(registry, self._config())
         platform.deploy(fn_python)
         injector.fail_next_boots(100)
         for i in range(3):
@@ -164,9 +171,7 @@ class TestBreakerIntegration:
         assert platform.traces.failed_count() == 3
 
     def test_half_open_probe_recovers(self, registry, fn_python):
-        platform, injector = make_platform(
-            registry, self._config(), request_retries=0
-        )
+        platform, injector = make_platform(registry, self._config())
         platform.deploy(fn_python)
         injector.fail_next_boots(2)  # exactly enough to open
         platform.submit(fn_python.name, delay=0.0)

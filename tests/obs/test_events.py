@@ -2,18 +2,14 @@
 
 import json
 
-import pytest
-
 from repro.obs import EventKind, EventLog, ObsEvent, Observatory
+from repro.obs import events as events_module
 
 
 class TestEventLog:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
-    def test_bounded_with_drop_accounting(self):
-        log = EventLog(capacity=3)
+    def test_bounded_with_drop_accounting(self, monkeypatch):
+        monkeypatch.setattr(events_module, "EVENT_CAPACITY", 3)
+        log = EventLog()
         for index in range(5):
             log.append(ObsEvent(t=float(index), kind=EventKind.POOL_HIT))
         assert len(log) == 3

@@ -6,7 +6,8 @@ from repro.admission import AdmissionConfig, AdmissionController
 from repro.core import HotC, HotCConfig, make_cluster_platform
 from repro.faas import FaasPlatform
 from repro.faults import RuntimeUnavailableError
-from repro.recovery import RecoveryConfig, RecoveryManager, RepairKind
+from repro.recovery import RecoveryManager, RepairKind
+from repro.recovery import manager as recovery_manager
 from repro.obs import Observatory
 from tests.cluster_checks import assert_no_requests_held
 
@@ -158,11 +159,12 @@ class TestRecover:
 
 
 class TestTickCadence:
-    def test_audit_every_tick_checkpoint_on_cadence(self, registry, fn_python):
+    def test_audit_every_tick_checkpoint_on_cadence(
+        self, registry, fn_python, monkeypatch
+    ):
+        monkeypatch.setattr(recovery_manager, "CHECKPOINT_EVERY_TICKS", 3)
         platform = make_platform(registry)
-        manager = RecoveryManager(
-            platform.provider, RecoveryConfig(checkpoint_every_ticks=3)
-        )
+        manager = RecoveryManager(platform.provider)
         for tick in range(1, 7):
             manager.on_control_tick(float(tick))
         assert manager.stats.audits == 6
@@ -184,11 +186,12 @@ class TestTickCadence:
         manager.on_control_tick(10.0)
         assert manager.stats.audits == 0
 
-    def test_control_loop_drives_the_manager(self, registry, fn_python):
+    def test_control_loop_drives_the_manager(
+        self, registry, fn_python, monkeypatch
+    ):
+        monkeypatch.setattr(recovery_manager, "CHECKPOINT_EVERY_TICKS", 2)
         platform = make_platform(registry)
-        manager = RecoveryManager(
-            platform.provider, RecoveryConfig(checkpoint_every_ticks=2)
-        )
+        manager = RecoveryManager(platform.provider)
         platform.deploy(fn_python)
         platform.provider.start_control_loop()
         platform.run(until=5_500.0)
