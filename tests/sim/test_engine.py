@@ -623,6 +623,49 @@ class TestRunAhead:
         assert sim.now == 0.0
 
 
+class TestEvery:
+    def test_ticks_once_per_period_starting_one_period_out(self):
+        sim = Simulator()
+        ticks = []
+        loop = sim.every(10.0, lambda: ticks.append(sim.now), name="tick")
+        sim.run(until=35.0)
+        loop.stop()
+        sim.run()
+        assert ticks == [10.0, 20.0, 30.0]
+        # The stopped loop's pending wake exits at 40 without ticking.
+        assert sim.now == 40.0
+
+    def test_restart_within_a_period_leaves_no_stale_loop(self):
+        sim = Simulator()
+        ticks = []
+        loop = sim.every(10.0, lambda: ticks.append(("old", sim.now)))
+        sim.run(until=15.0)
+        loop.stop()
+        loop = sim.every(10.0, lambda: ticks.append(("new", sim.now)))
+        sim.run(until=40.0)
+        loop.stop()
+        sim.run()
+        assert ticks == [("old", 10.0), ("new", 25.0), ("new", 35.0)]
+
+    def test_tick_that_stops_its_loop_ends_it_at_once(self):
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            loop.stop()
+
+        loop = sim.every(10.0, tick)
+        sim.run()
+        assert ticks == [10.0]
+        assert sim.now == 10.0
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("inf")])
+    def test_rejects_a_period_not_finite_and_positive(self, period):
+        with pytest.raises(ValueError):
+            Simulator().every(period, lambda: None)
+
+
 class TestComposites:
     def test_all_of_collects_values(self):
         sim = Simulator()
