@@ -185,7 +185,6 @@ def cmd_report(args) -> int:
         args.out,
         observatory,
         traces=platform.traces,
-        controller=platform.provider.controller,
         snapshotter=snapshotter,
     )
     outcomes = platform.traces.outcome_counts()

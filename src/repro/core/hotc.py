@@ -28,7 +28,6 @@ from repro.core.breaker import CircuitBreaker
 from repro.core.cleanup import CleanupWorker
 from repro.core.keys import KeyPolicy, RuntimeKey, runtime_key
 from repro.core.pool import ContainerRuntimePool, PoolLimits
-from repro.core.predictor.combined import CombinedPredictor
 from repro.core.predictor.controller import AdaptivePoolController
 from repro.core.similarity import KeySimilarityModel
 from repro.faas.platform import RuntimeProvider
@@ -133,20 +132,11 @@ class HotCConfig:
                 "fallback_key_policy must differ from key_policy"
             )
 
-    @property
-    def _min_history(self) -> int:
-        # Without the Markov correction the chain never engages.
-        return 6 if self.markov_correction else 10**9
-
-    def make_predictor(self) -> CombinedPredictor:
-        """A fresh single-key predictor configured per this config (the
-        executable spec of one :meth:`make_controller` row)."""
-        return CombinedPredictor(min_history=self._min_history)
-
     def make_controller(self) -> AdaptivePoolController:
         """A fresh per-host predictor bank configured per this config."""
         return AdaptivePoolController(
-            min_history=self._min_history,
+            # Without the Markov correction the chain never engages.
+            min_history=6 if self.markov_correction else 10**9,
             max_target=self.limits.max_containers,
         )
 

@@ -26,8 +26,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.predictor.controller import N_STATES, WINDOW
 from repro.core.predictor.exponential import ExponentialSmoothing
-from repro.core.predictor.markov import DEFAULT_WINDOW, MarkovChain
+from repro.core.predictor.markov import MarkovChain
 
 __all__ = ["CombinedPredictor"]
 
@@ -35,42 +36,29 @@ __all__ = ["CombinedPredictor"]
 class CombinedPredictor:
     """Streaming exponential-smoothing + Markov-correction predictor.
 
+    The residual chain has the bank's ``N_STATES`` region states and
+    keeps its last ``WINDOW`` residuals; forecasts are clamped at 0
+    (container counts cannot be negative).
+
     Parameters
     ----------
     alpha:
         Smoothing coefficient of Eq. 1 (paper default 0.8).
-    n_states:
-        Number of Markov region states over the residual range.
     init:
         Initial-value policy of the smoother (see
         :class:`ExponentialSmoothing`).
     min_history:
         Observations required before the Markov correction engages.
-    clamp_min:
-        Lower bound applied to the corrected forecast (container counts
-        cannot be negative).
-    markov_window:
-        Sliding-window length of the residual chain (``None`` keeps all
-        residuals; see :class:`MarkovChain`).
     """
 
     def __init__(
-        self,
-        alpha: float = 0.8,
-        n_states: int = 4,
-        init: str = "auto",
-        min_history: int = 6,
-        clamp_min: Optional[float] = 0.0,
-        markov_window: Optional[int] = DEFAULT_WINDOW,
+        self, alpha: float = 0.8, init: str = "auto", min_history: int = 6
     ) -> None:
         if min_history < 2:
             raise ValueError("min_history must be >= 2")
         self.smoother = ExponentialSmoothing(alpha=alpha, init=init)
-        self.residual_chain = MarkovChain(
-            n_states=n_states, window=markov_window
-        )
+        self.residual_chain = MarkovChain(n_states=N_STATES, window=WINDOW)
         self.min_history = min_history
-        self.clamp_min = clamp_min
         self._last_forecast: Optional[float] = None
         self._last_residual: Optional[float] = None
         self._forecast_next: Optional[float] = None
@@ -102,8 +90,7 @@ class CombinedPredictor:
         ):
             correction = self.residual_chain.predict(self._last_residual)
             corrected = trend + correction
-        if self.clamp_min is not None:
-            corrected = max(self.clamp_min, corrected)
+        corrected = max(0.0, corrected)
         self._forecast_next = corrected
         return corrected
 
@@ -158,8 +145,7 @@ class CombinedPredictor:
                     correction = midpoints[state]
                     break
             candidate = trend + float(correction)
-            if self.clamp_min is not None:
-                candidate = max(self.clamp_min, candidate)
+            candidate = max(0.0, candidate)
             best = max(best, candidate)
         # Invariant: never below the point forecast.  ``best`` starts at
         # ``_forecast_next`` and only grows, but the donor-selection

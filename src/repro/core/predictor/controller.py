@@ -11,7 +11,9 @@ The controller is a structure-of-arrays *bank* with one row per key:
 ES level and count, the last corrected forecast, the residual window
 (values plus ``int8`` region states) with its bin edges and range,
 per-lag transition counts of shape ``(K, HORIZON, N_STATES,
-N_STATES)``, state occupancy, and the demand/forecast histories.  One
+N_STATES)`` and state occupancy.  It keeps no demand or forecast
+history: each ``CONTROL_TICK`` event carries the tick's demand and the
+previous forecast, and the run report's accuracy table reads those.  One
 :meth:`observe` call advances every row in a handful of numpy passes —
 the ES update (Eq. 1), the Markov append with incremental lag counts, a
 batched rebuild for rows whose residual range changed, the 1-step
@@ -43,7 +45,7 @@ __all__ = ["AdaptivePoolController"]
 ALPHA = 0.8
 #: Regions the residual range is split into (Eq. 2's Markov states).
 N_STATES = 4
-#: Residuals (and demand/forecast history) each key keeps.
+#: Residuals each key keeps.
 WINDOW = DEFAULT_WINDOW
 #: :meth:`AdaptivePoolController.target_upper` provisions for the
 #: ``QUANTILE`` of demand over the next ``HORIZON`` intervals.
@@ -62,7 +64,7 @@ _ROW_ARRAYS = (
     "_edges", "_occupancy", "_counts",
 )
 #: Per-row, per-observation windows (column ``t % cols`` holds step t).
-_WINDOW_ARRAYS = ("_values", "_states", "_demand", "_forecasts")
+_WINDOW_ARRAYS = ("_values", "_states")
 
 
 def _grown(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -83,10 +85,6 @@ class AdaptivePoolController:
     max_target:
         Upper clamp on any per-key target (safety net, mirrors the
         pool-wide 500-container cap).
-
-    ``history`` and ``forecast_history`` keep the last ``WINDOW``
-    observations per key, so a long run does not grow them without
-    bound.
     """
 
     def __init__(self, min_history: int = 6, max_target: int = 500) -> None:
@@ -114,8 +112,6 @@ class AdaptivePoolController:
         # -- windows, indexed by observation step modulo ``_cols`` -----------
         self._values = np.zeros((rows, cols))
         self._states = np.zeros((rows, cols), dtype=np.int8)
-        self._demand = np.zeros((rows, cols))
-        self._forecasts = np.zeros((rows, cols))
 
     # -- observation ------------------------------------------------------
     def observe(self, keys: Sequence, demands: Sequence[float]) -> List[float]:
@@ -180,8 +176,6 @@ class AdaptivePoolController:
         self._count[r] = n_obs
         self._level[r] = level
         self._forecast[r] = forecast
-        self._demand[r, col] = x
-        self._forecasts[r, col] = forecast
         self._target[r] = self._clamp(forecast)
         self._upper[r] = self._target[r] if upper is None else self._clamp(upper)
         return forecast.tolist()
@@ -260,7 +254,9 @@ class AdaptivePoolController:
             self._occupancy[sr, state] += 1
 
     def _rebuild(self, r: np.ndarray, t: np.ndarray, length: np.ndarray) -> None:
-        """:meth:`MarkovChain._rebuild` for rows ``r`` (windows end at step ``t``)."""
+        """Refit rows ``r`` from their windows (ending at step ``t``): bin
+        edges over the range, every state, occupancy and lag counts, as
+        a :class:`MarkovChain` derives them from its window."""
         n = N_STATES
         span = np.arange(int(length.max()))
         valid = span < length[:, None]
@@ -372,20 +368,3 @@ class AdaptivePoolController:
     def known_keys(self) -> Tuple:
         """All keys that have been observed, insertion-ordered."""
         return tuple(self._rows)
-
-    def history(self, key) -> Tuple[float, ...]:
-        """Raw demand history of a key (the last ``WINDOW`` steps)."""
-        return self._series(key, self._demand)
-
-    def forecast_history(self, key) -> Tuple[float, ...]:
-        """Forecast made after each retained observation (for Fig 10)."""
-        return self._series(key, self._forecasts)
-
-    def _series(self, key, table: np.ndarray) -> Tuple[float, ...]:
-        row = self._rows.get(key)
-        if row is None:
-            return ()
-        count = self._count.item(row)
-        kept = min(count, WINDOW)
-        steps = np.arange(count - kept, count) % self._cols
-        return tuple(table[row, steps].tolist())

@@ -7,34 +7,27 @@ next value as the midpoint of the most probable next state.
 
 Implementation notes
 --------------------
-* States are equal-width bins spanning the observed data range; bounds
-  update as new data arrives.
+* States are equal-width bins spanning the observed data range.
 * History is a bounded sliding window (default 512 observations): a
   long-running gateway must not grow per-key predictor state without
   limit, and old demand regimes should age out of the transition
   estimates.  ``window=None`` keeps everything (batch/ablation use).
-* Transition counts are maintained *incrementally*: each update adds
-  the new lag-k transitions and subtracts the evicted ones for every
-  lag the caller has asked about, so a control tick is O(lags) instead
-  of O(window).  Only when the observed range changes (new min/max
-  enters, or the old extreme leaves the window) are the bin edges —
-  and with them the cached states and counts — rebuilt, which costs
-  one O(window) vectorised pass.
+* Every query is a batch refit of the retained window: the bin edges
+  and the state of each value are computed on first use after an
+  update and cached until the next one, and the lag-k transition
+  counts are one ``np.bincount`` per call.  This module is the
+  executable spec; the batched
+  :class:`~repro.core.predictor.controller.AdaptivePoolController` is
+  the fast path.
 * Rows of the transition matrix with no observed departures fall back
   to "stay in place" (identity row), the conservative choice for a
   sparse history.
-
-The streaming bookkeeping is exactly equivalent to refitting from
-scratch on the retained window: ``MarkovChain(window=w)`` fed a series
-point-by-point matches ``MarkovChain(window=w).fit(series[-w:])`` after
-every point (the equivalence test in ``tests/core/test_markov.py``
-asserts this for all lags).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,67 +49,25 @@ class MarkovChain:
             raise ValueError(f"window must be >= 2 (or None), got {window}")
         self.n_states = n_states
         self.window = window
-        self._values: Deque[float] = deque()
-        #: Bin index of each stored value under the current edges.
-        self._states: Deque[int] = deque()
-        self._edges: Optional[np.ndarray] = None
-        self._lo = 0.0
-        self._hi = 0.0
-        #: Per-lag raw transition-count matrices, built lazily on the
-        #: first ``transition_matrix(k)`` call and then kept in sync.
-        self._counts: Dict[int, np.ndarray] = {}
-        #: State-occupancy counts of the stored series.
-        self._occupancy = np.zeros(n_states, dtype=float)
+        self._values = deque(maxlen=window)
+        #: ``(edges, states)`` of the current window; None after an update.
+        self._fit: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- data -------------------------------------------------------------
     def update(self, value: float) -> None:
         """Append one observation, evicting past the window bound."""
         if not np.isfinite(value):
             raise ValueError(f"value must be finite, got {value}")
-        value = float(value)
-        range_dirty = False
-        if self.window is not None and len(self._values) == self.window:
-            evicted = self._values.popleft()
-            if self._edges is not None:
-                # Remove the transitions that depart from the evicted
-                # head before its state leaves the deque.
-                for k, counts in self._counts.items():
-                    if len(self._states) > k:
-                        counts[self._states[0], self._states[k]] -= 1.0
-                self._occupancy[self._states[0]] -= 1.0
-                self._states.popleft()
-            # Exact equality is safe: _lo/_hi were taken from stored
-            # values, so an extreme leaving the window compares equal.
-            if evicted == self._lo or evicted == self._hi:
-                range_dirty = True
-        self._values.append(value)
-        if len(self._values) < 2:
-            self._edges = None
-            return
-        if (
-            self._edges is None
-            or range_dirty
-            or value < self._lo
-            or value > self._hi
-        ):
-            self._rebuild()
-            return
-        state = self._state_index(value)
-        for k, counts in self._counts.items():
-            if len(self._states) >= k:
-                counts[self._states[-k], state] += 1.0
-        self._states.append(state)
-        self._occupancy[state] += 1.0
+        self._values.append(float(value))
+        self._fit = None
 
     def fit(self, values) -> "MarkovChain":
         """Replace the history with ``values`` (truncated to the window)."""
         array = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(array)):
             raise ValueError("values must be finite")
-        if self.window is not None:
-            array = array[-self.window :]
-        self._values = deque(float(v) for v in array)
-        self._rebuild()
+        self._values = deque(array.tolist(), maxlen=self.window)
+        self._fit = None
         return self
 
     @property
@@ -124,59 +75,43 @@ class MarkovChain:
         """Number of observations currently retained."""
         return len(self._values)
 
-    def _rebuild(self) -> None:
-        """Recompute edges, cached states and counts from the window."""
-        self._counts.clear()
-        self._states.clear()
-        self._occupancy = np.zeros(self.n_states, dtype=float)
+    def _fitted(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Bin edges over the window's range and each value's state."""
         if len(self._values) < 2:
-            self._edges = None
-            return
-        values = np.fromiter(self._values, dtype=float, count=len(self._values))
-        self._lo = float(values.min())
-        self._hi = float(values.max())
-        high = self._hi
-        if high == self._lo:
-            # Degenerate constant series: one tiny bin around the value.
-            high = self._lo + 1.0
-        self._edges = np.linspace(self._lo, high, self.n_states + 1)
-        states = np.clip(
-            np.searchsorted(self._edges, values, side="right") - 1,
-            0,
-            self.n_states - 1,
-        )
-        self._states = deque(int(s) for s in states)
-        self._occupancy = np.bincount(
-            states, minlength=self.n_states
-        ).astype(float)
+            raise RuntimeError("MarkovChain needs at least 2 observations")
+        if self._fit is None:
+            values = np.array(self._values)
+            lo = values.min()
+            hi = values.max()
+            if hi == lo:
+                # Degenerate constant series: one unit-wide range.
+                hi = lo + 1.0
+            edges = np.linspace(lo, hi, self.n_states + 1)
+            self._fit = (edges, self._bin(edges, values))
+        return self._fit
 
-    def _state_index(self, value: float) -> int:
-        index = int(np.searchsorted(self._edges, value, side="right")) - 1
-        if index < 0:
-            return 0
-        if index >= self.n_states:
-            return self.n_states - 1
-        return index
+    def _bin(self, edges: np.ndarray, values):
+        """Region state of each value, clipped to the known range."""
+        index = np.searchsorted(edges, values, side="right") - 1
+        return np.clip(index, 0, self.n_states - 1)
 
     # -- states -------------------------------------------------------------
     @property
     def ready(self) -> bool:
         """Whether bounds exist (>= 2 retained observations)."""
-        return self._edges is not None
+        return len(self._values) >= 2
 
     def state_of(self, value: float) -> int:
         """Region-state index of ``value`` (clipped to the known range)."""
-        if self._edges is None:
-            raise RuntimeError("MarkovChain needs at least 2 observations")
-        return self._state_index(value)
+        edges, _ = self._fitted()
+        return int(self._bin(edges, value))
 
     def state_bounds(self, state: int) -> Tuple[float, float]:
         """``[R_i1, R_i2]`` interval of a state."""
-        if self._edges is None:
-            raise RuntimeError("MarkovChain needs at least 2 observations")
+        edges, _ = self._fitted()
         if not 0 <= state < self.n_states:
             raise IndexError(f"state {state} out of range")
-        return float(self._edges[state]), float(self._edges[state + 1])
+        return float(edges[state]), float(edges[state + 1])
 
     def state_midpoint(self, state: int) -> float:
         """``(R_i1 + R_i2) / 2`` — the paper's predicted value."""
@@ -186,32 +121,16 @@ class MarkovChain:
     # -- transitions ---------------------------------------------------------
     def state_marginal(self) -> np.ndarray:
         """Empirical state-occupancy distribution of the stored series."""
-        if self._edges is None:
-            raise RuntimeError("MarkovChain needs at least 2 observations")
-        return self._occupancy / self._occupancy.sum()
-
-    def _counts_for_lag(self, k: int) -> np.ndarray:
-        counts = self._counts.get(k)
-        if counts is None:
-            counts = np.zeros((self.n_states, self.n_states), dtype=float)
-            if len(self._states) > k:
-                states = np.fromiter(
-                    self._states, dtype=np.int64, count=len(self._states)
-                )
-                np.add.at(counts, (states[:-k], states[k:]), 1.0)
-            self._counts[k] = counts
-        return counts
+        _, states = self._fitted()
+        return np.bincount(states, minlength=self.n_states) / states.size
 
     def transition_matrix(self, k: int = 1, empty_rows: str = "identity") -> np.ndarray:
         """The k-step transition probability matrix (Eq. 2).
 
         ``P[i, j]`` estimates the probability of moving from state ``i``
         to state ``j`` in ``k`` steps, counted directly from the stored
-        series at lag ``k``.  Counts come from the incrementally
-        maintained per-lag cache — the first call for a lag pays one
-        vectorised pass, later calls are O(n_states²) copies.  Rows
-        without observed departures have no data; ``empty_rows`` picks
-        the fallback:
+        series at lag ``k``.  Rows without observed departures have no
+        data; ``empty_rows`` picks the fallback:
 
         * ``"identity"`` — stay in place (conservative point forecasts);
         * ``"marginal"`` — the empirical state-occupancy distribution
@@ -223,18 +142,17 @@ class MarkovChain:
             raise ValueError(f"step k must be >= 1, got {k}")
         if empty_rows not in ("identity", "marginal"):
             raise ValueError(f"unknown empty_rows policy {empty_rows!r}")
-        if self._edges is None:
-            raise RuntimeError("MarkovChain needs at least 2 observations")
-        matrix = self._counts_for_lag(k).copy()
-        row_sums = matrix.sum(axis=1)
-        empty = row_sums == 0
+        _, states = self._fitted()
+        n = self.n_states
+        pairs = states[:-k] * n + states[k:]
+        matrix = np.bincount(pairs, minlength=n * n).reshape(n, n).astype(float)
+        empty = matrix.sum(axis=1) == 0
         if empty.any():
             if empty_rows == "identity":
-                matrix[empty, :] = np.eye(self.n_states)[empty]
+                matrix[empty, :] = np.eye(n)[empty]
             else:
                 matrix[empty, :] = self.state_marginal()
-        row_sums = matrix.sum(axis=1, keepdims=True)
-        return matrix / row_sums
+        return matrix / matrix.sum(axis=1, keepdims=True)
 
     def predict_next_state(self, current_value: float, k: int = 1) -> int:
         """Most probable state ``k`` steps after ``current_value``.

@@ -9,8 +9,8 @@ writes into an output directory:
 * ``snapshots.jsonl`` — the snapshotter's time series (when one ran),
 * ``trace.json`` — Chrome trace-event JSON (Perfetto-loadable),
 * ``accuracy.txt`` / ``accuracy.json`` — the per-key forecast-accuracy
-  table (MAE / sMAPE of the ES+Markov predictor over the bank's last
-  ``WINDOW`` (512) ticks, and over a shorter rolling tail),
+  table (MAE / sMAPE of the ES+Markov predictor over every control
+  tick the event log retains, and over a shorter rolling tail),
 * ``summary.json`` — headline numbers (request counts by outcome,
   latency mean/p99 from the obs histograms, event totals).
 """
@@ -19,29 +19,29 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.events import Observatory
+from repro.obs.events import EventKind, ObsEvent, Observatory
 from repro.obs.exporters import Snapshotter, chrome_trace
 
 __all__ = ["prediction_accuracy_table", "format_accuracy_table", "write_run_report"]
 
 
 def prediction_accuracy_table(
-    controller,
+    events: Iterable[ObsEvent],
     window: int = 50,
 ) -> List[Dict[str, object]]:
-    """Per-key forecast accuracy of an :class:`AdaptivePoolController`.
+    """Per-key forecast accuracy of the control loop, from its events.
 
-    ``forecast_history[i]`` predicts ``history[i+1]``, so each key's
-    paired series is ``(history[1:], forecast_history[:-1])``.  The
-    bank keeps only each key's last
-    :data:`~repro.core.predictor.controller.WINDOW` (512) observations,
-    so the ``mae``/``smape`` columns cover the whole run only while it
-    has at most that many ticks; past it they cover the last 512.  The
-    rolling values cover the last ``window`` pairs (the number the
-    control loop is currently living with).  Keys with fewer than two
-    observations have no pairs and report ``None``.
+    Each ``CONTROL_TICK`` event is one observation of its key; one that
+    carries ``prev_forecast`` (every tick but the key's first) is the
+    pair ``(demand, prev_forecast)``: the forecast the previous tick
+    made for this tick's demand.  The ``mae``/``smape`` columns cover
+    every tick ``events`` holds, so on a log that dropped events they
+    start at the first retained tick.  The rolling values cover the
+    last ``window`` pairs (the number the control loop is currently
+    living with).  Rows come in first-tick order; keys with a single
+    tick have no pairs and report ``None``.
     """
     # Imported lazily: repro.metrics pulls in the container engine (for
     # ResourceMonitor), which itself imports repro.obs for its hooks.
@@ -52,15 +52,23 @@ def prediction_accuracy_table(
 
     if window < 1:
         raise ValueError("window must be >= 1")
+    ticks: Dict[str, int] = {}
+    pairs: Dict[str, Tuple[List[float], List[float]]] = {}
+    for event in events:
+        if event.kind is not EventKind.CONTROL_TICK:
+            continue
+        ticks[event.key] = ticks.get(event.key, 0) + 1
+        actual, predicted = pairs.setdefault(event.key, ([], []))
+        data = dict(event.data)
+        if "prev_forecast" in data:
+            actual.append(data["demand"])
+            predicted.append(data["prev_forecast"])
     rows: List[Dict[str, object]] = []
-    for key in controller.known_keys():
-        history = controller.history(key)
-        forecasts = controller.forecast_history(key)
-        actual = history[1:]
-        predicted = forecasts[: len(history) - 1]
+    for key, observations in ticks.items():
+        actual, predicted = pairs[key]
         row: Dict[str, object] = {
-            "key": str(key),
-            "observations": len(history),
+            "key": key,
+            "observations": observations,
             "pairs": len(actual),
             "mae": None,
             "smape": None,
@@ -171,16 +179,15 @@ def write_run_report(
     out_dir: str,
     observatory: Observatory,
     traces=None,
-    controller=None,
     snapshotter: Optional[Snapshotter] = None,
     accuracy_window: int = 50,
 ) -> Dict[str, str]:
     """Write every report artifact into ``out_dir``; returns name→path.
 
     ``traces`` (a :class:`TraceCollector`) enables the Chrome trace and
-    outcome summary; ``controller`` (an :class:`AdaptivePoolController`)
-    enables the accuracy table; ``snapshotter`` enables the snapshot
-    series.  Missing inputs simply skip their artifact.
+    outcome summary; ``snapshotter`` enables the snapshot series; the
+    accuracy table is written when the event log holds a control tick.
+    Missing inputs simply skip their artifact.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: Dict[str, str] = {}
@@ -198,9 +205,17 @@ def write_run_report(
     if traces is not None:
         document = chrome_trace(traces, events=observatory.events)
         emit("trace.json", json.dumps(document) + "\n")
-    if controller is not None:
-        rows = prediction_accuracy_table(controller, window=accuracy_window)
-        emit("accuracy.txt", format_accuracy_table(rows))
+    rows = prediction_accuracy_table(observatory.events, window=accuracy_window)
+    if rows:
+        text = format_accuracy_table(rows)
+        dropped = observatory.events.dropped
+        if dropped:
+            # Like events.jsonl, the table covers only what the log kept.
+            text = (
+                f"partial: {dropped} events dropped; ticks before the "
+                f"first retained event are not counted\n" + text
+            )
+        emit("accuracy.txt", text)
         emit("accuracy.json", json.dumps(rows, indent=2) + "\n")
     emit(
         "summary.json",

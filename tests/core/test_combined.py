@@ -28,16 +28,10 @@ class TestCombinedPredictor:
         assert combined.forecast is not None
 
     def test_clamped_non_negative(self):
-        combined = CombinedPredictor(alpha=0.8, clamp_min=0.0)
+        combined = CombinedPredictor(alpha=0.8)
         series = [10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0]
         forecasts = combined.fit_series(series)
         assert np.all(forecasts >= 0.0)
-
-    def test_no_clamp_allows_negative(self):
-        combined = CombinedPredictor(clamp_min=None)
-        series = [-5.0, -8.0, -2.0, -9.0]
-        forecasts = combined.fit_series(series)
-        assert forecasts[-1] < 0
 
     def test_improves_on_es_for_periodic_jitter(self):
         """The paper's claim (Fig 10a): the Markov correction reduces
@@ -54,7 +48,7 @@ class TestCombinedPredictor:
             ExponentialSmoothing(alpha=0.8, init="first").fit_series(series)
         )
         combined_err = mean_abs_error(
-            CombinedPredictor(alpha=0.8, init="first", n_states=4).fit_series(series)
+            CombinedPredictor(alpha=0.8, init="first").fit_series(series)
         )
         assert combined_err < es_err
 
@@ -86,12 +80,12 @@ class TestAdaptivePoolController:
         controller.observe(["k"], [100.0])
         assert controller.target("k") == 5
 
-    def test_history_and_forecasts_recorded(self):
+    def test_forecasts_and_keys_recorded(self):
         controller = AdaptivePoolController()
+        spec = CombinedPredictor()
         for value in (2.0, 4.0, 6.0):
             controller.observe(["k"], [value])
-        assert controller.history("k") == (2.0, 4.0, 6.0)
-        assert len(controller.forecast_history("k")) == 3
+            assert controller.forecast("k") == spec.update(value)
         assert controller.known_keys() == ("k",)
 
     def test_keys_have_independent_predictors(self):
@@ -107,23 +101,22 @@ class TestMarkovWindowPlumbing:
         assert predictor.residual_chain.window == 512
 
     def test_window_reaches_residual_chain(self):
-        predictor = CombinedPredictor(markov_window=16)
-        assert predictor.residual_chain.window == 16
+        predictor = CombinedPredictor()
         for value in range(100):
             predictor.update(float(value))
         # One residual per update after the first forecast exists.
-        assert predictor.residual_chain.n_observations == 16
-
-    def test_none_window_unbounded(self):
-        predictor = CombinedPredictor(markov_window=None)
-        for value in range(100):
-            predictor.update(float(value))
         assert predictor.residual_chain.n_observations == 99
+        for value in range(600):
+            predictor.update(float(value % 9))
+        assert predictor.residual_chain.n_observations == 512
 
     def test_hotc_config_plumbs_window(self):
+        """HotC's bank keeps the spec's window of residuals per key."""
         from repro.core.hotc import HotCConfig
         from repro.core.predictor import controller
 
-        config = HotCConfig()
-        assert config.make_predictor().residual_chain.window == 512
-        assert controller.WINDOW == 512
+        bank = HotCConfig().make_controller()
+        for tick in range(600):
+            bank.observe(["k"], [tick % 9])
+        assert bank._values.shape[1] == controller.WINDOW == 512
+        assert CombinedPredictor().residual_chain.window == controller.WINDOW

@@ -92,7 +92,7 @@ class TestForecastUpper:
         assert upper == pytest.approx(5.0, abs=1.0)
 
     def test_clamped_non_negative(self):
-        predictor = CombinedPredictor(alpha=0.8, init="first", clamp_min=0.0)
+        predictor = CombinedPredictor(alpha=0.8, init="first")
         for value in (20.0, 0.0, 0.0, 20.0, 0.0, 0.0, 20.0, 0.0):
             predictor.update(value)
         assert predictor.forecast_upper(0.9, 4) >= 0.0

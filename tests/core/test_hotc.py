@@ -5,6 +5,7 @@ import pytest
 from repro.core import HotC, HotCConfig, PoolLimits
 from repro.core import hotc as hotc_module
 from repro.faas import FaasPlatform
+from repro.obs import EventKind, Observatory
 
 
 def make_platform(registry, config=None, seed=0, **kwargs):
@@ -16,6 +17,15 @@ def make_platform(registry, config=None, seed=0, **kwargs):
         **kwargs,
     )
     return platform
+
+
+def control_ticks(platform, key):
+    """The ``CONTROL_TICK`` events ``key`` has had so far."""
+    return [
+        event
+        for event in platform.sim.obs.events
+        if event.kind is EventKind.CONTROL_TICK and event.key == str(key)
+    ]
 
 
 class TestReuse:
@@ -153,7 +163,8 @@ class TestAdaptiveControl:
         platform.run()
         provider.control_tick()
         key = provider.key_of(fn_python.container_config())
-        assert provider.controller.history(key) == (2.0,)
+        # The first observation is the first forecast.
+        assert provider.controller.forecast(key) == 2.0
 
     def test_prewarm_boots_toward_forecast(self, registry, fn_python):
         config = HotCConfig(control_interval_ms=0)  # manual ticks
@@ -188,6 +199,7 @@ class TestAdaptiveControl:
     def test_control_loop_runs_periodically(self, registry, fn_python):
         config = HotCConfig(control_interval_ms=100.0)
         platform = make_platform(registry, config)
+        platform.sim.obs = Observatory()
         platform.deploy(fn_python)
         provider = platform.provider
         provider.start_control_loop()
@@ -196,7 +208,7 @@ class TestAdaptiveControl:
         provider.stop_control_loop()
         platform.run()
         key = provider.key_of(fn_python.container_config())
-        assert len(provider.controller.history(key)) >= 4
+        assert len(control_ticks(platform, key)) >= 4
 
     def test_prewarmed_container_serves_warm_request(self, registry, fn_python):
         config = HotCConfig(control_interval_ms=0)
@@ -300,6 +312,7 @@ class TestControlLoopRestart:
         must not leave the stale loop ticking alongside the new one."""
         config = HotCConfig(control_interval_ms=100.0)
         platform = make_platform(registry, config)
+        platform.sim.obs = Observatory()
         platform.deploy(fn_python)
         provider = platform.provider
         platform.submit(fn_python.name)
@@ -308,7 +321,7 @@ class TestControlLoopRestart:
         t0 = provider.sim.now
         provider.start_control_loop()
         platform.run(until=t0 + 250.0)  # ticks at t0+100, t0+200
-        assert len(provider.controller.history(key)) == 2
+        assert len(control_ticks(platform, key)) == 2
         provider.stop_control_loop()
         provider.start_control_loop()  # old loop still pending its tick
         # New loop ticks at t0+350 .. t0+1050 -> 8 more; the stale loop
@@ -316,7 +329,7 @@ class TestControlLoopRestart:
         platform.run(until=t0 + 1_050.0)
         provider.stop_control_loop()
         platform.run()
-        assert len(provider.controller.history(key)) == 10
+        assert len(control_ticks(platform, key)) == 10
 
 
 class TestDeadDiscardStats:
@@ -355,11 +368,12 @@ class TestHotCConfig:
         assert make_platform(registry).provider.pool.eviction == "oldest"
 
     def test_markov_correction_flag(self):
-        es_only = HotCConfig(markov_correction=False).make_predictor()
+        es_only = HotCConfig(markov_correction=False).make_controller()
         series = [4.0, 18.0, 4.0, 18.0] * 5
-        es_only.fit_series(series)
+        for value in series:
+            es_only.observe(["k"], [value])
         # min_history is huge: the chain never engages; forecast == ES.
         from repro.core import ExponentialSmoothing
 
         reference = ExponentialSmoothing(alpha=0.8).fit_series(series)
-        assert es_only.forecast == pytest.approx(max(0.0, reference[-1]))
+        assert es_only.forecast("k") == pytest.approx(max(0.0, reference[-1]))

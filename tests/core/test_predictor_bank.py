@@ -139,36 +139,20 @@ def test_bank_matches_spec_under_a_low_cap():
     _drive(_Params(max_target=20), ticks=300, n_keys=5, seed=4)
 
 
-def test_histories_match_spec_series():
-    """Below the window the histories are the whole series."""
-    params = _Params()
-    rng = random.Random(5)
-    bank = params.controller()
-    spec = params.predictor()
-    demands, forecasts = [], []
-    for _ in range(50):
-        demand = rng.randrange(10)
-        bank.observe(["k"], [demand])
-        demands.append(float(demand))
-        forecasts.append(spec.update(demand))
-    assert bank.history("k") == tuple(demands)
-    assert bank.forecast_history("k") == tuple(forecasts)
-
-
 class TestBoundedHistory:
     def test_history_length_stays_flat(self):
+        """The bank keeps only the residual window: its window arrays
+        stop growing at ``WINDOW`` columns however long the run."""
         window = bank_module.WINDOW
         bank = AdaptivePoolController()
-        lengths = set()
+        widths = set()
         for tick in range(2_000):
             bank.observe(["a", "b"], [tick % 7, 3])
-            if tick >= window:
-                lengths.add((len(bank.history("a")), len(bank.forecast_history("b"))))
-        assert lengths == {(window, window)}
-        # The retained tail is the most recent window, in order.
-        assert bank.history("a") == tuple(
-            float(t % 7) for t in range(2_000 - window, 2_000)
-        )
+            widths.update(
+                getattr(bank, name).shape[1] for name in bank_module._WINDOW_ARRAYS
+            )
+        assert max(widths) == window
+        assert bank_module._WINDOW_ARRAYS == ("_values", "_states")
 
 
 class TestObserveValidation:

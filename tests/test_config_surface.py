@@ -13,14 +13,14 @@ import pytest
 
 import repro.recovery
 from repro.admission import AdmissionConfig, AIMDConfig
-from repro.core import HotCConfig, KeySimilarityModel
+from repro.core import CombinedPredictor, HotCConfig, KeySimilarityModel
 from repro.core.pool import ContainerRuntimePool
 from repro.core.predictor.controller import AdaptivePoolController
 from repro.faas.gateway import Gateway
 from repro.faas.platform import FaasPlatform
 from repro.faas.watchdog import Watchdog
 from repro.health import ContainerHealthConfig, HealthConfig
-from repro.obs import EventLog, Observatory
+from repro.obs import EventLog, Observatory, write_run_report
 from repro.recovery import RecoveryManager
 
 #: Fields of each config dataclass, in declaration order.
@@ -59,6 +59,14 @@ CONSTRUCTOR_PARAMETERS = {
     Observatory: (),
     EventLog: (),
     AdaptivePoolController: ("min_history", "max_target"),
+    CombinedPredictor: ("alpha", "init", "min_history"),
+    write_run_report: (
+        "out_dir",
+        "observatory",
+        "traces",
+        "snapshotter",
+        "accuracy_window",
+    ),
     ContainerRuntimePool: ("limits", "eviction"),
 }
 
@@ -79,3 +87,11 @@ def test_constructor_parameters(constructor):
 
 def test_recovery_has_no_config():
     assert not hasattr(repro.recovery, "RecoveryConfig")
+
+
+def test_predictor_keeps_no_history():
+    """Forecast accuracy comes from the control-tick events, so the bank
+    keeps no demand or forecast series and HotC builds no spec copy."""
+    for name in ("history", "forecast_history"):
+        assert not hasattr(AdaptivePoolController, name)
+    assert not hasattr(HotCConfig, "make_predictor")
